@@ -7,8 +7,8 @@
 #              suites (thread_pool_test, parallel_build_test,
 #              snapshot_concurrency_test, refresh_daemon_test,
 #              telemetry_concurrency_test, trace_recorder_test,
-#              sharded_refresh_soak_test, http_parser_test,
-#              net_server_test, storage_test, storage_crash_test)
+#              http_parser_test, net_server_test, storage_test,
+#              storage_crash_test)
 #   --telemetry-smoke  build + run examples/feedback_loop and grep its
 #              Prometheus dump for the expected metric families (the §9
 #              end-to-end observability gate)
@@ -93,11 +93,11 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     "$b"
   done
 
-  # The refresh bench must carry the §10 shards axis plus the provenance
-  # fields every BENCH_*.json promises — a silent schema regression here
-  # would break cross-PR perf tracking.
-  echo "== Checking BENCH_refresh.json schema (shards axis + provenance) =="
-  for field in '"shards"' '"speedup_vs_1"' '"ticks_skipped"' \
+  # The refresh bench must carry the tick and self-tuning fields plus the
+  # provenance fields every BENCH_*.json promises — a silent schema
+  # regression here would break cross-PR perf tracking.
+  echo "== Checking BENCH_refresh.json schema (ticks, selftune + provenance) =="
+  for field in '"ticks_skipped"' \
       '"selftune"' '"tuned_median_qerror"' '"tuned_beats_stale"' \
       '"seconds_per_adjustment"' '"tuning_off_bit_identical"' \
       '"timestamp_utc"' '"git_rev"'; do
@@ -182,8 +182,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan --target thread_pool_test parallel_build_test \
     snapshot_concurrency_test refresh_daemon_test telemetry_concurrency_test \
-    trace_recorder_test sharded_refresh_soak_test http_parser_test \
-    net_server_test storage_test storage_crash_test
+    trace_recorder_test http_parser_test net_server_test storage_test \
+    storage_crash_test
   # Oversubscribe the pool so TSan sees real interleavings even on small
   # CI machines.
   HOPS_THREADS=4 ./build-tsan/tests/thread_pool_test
@@ -192,7 +192,6 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   HOPS_THREADS=4 ./build-tsan/tests/refresh_daemon_test
   HOPS_THREADS=4 ./build-tsan/tests/telemetry_concurrency_test
   HOPS_THREADS=4 ./build-tsan/tests/trace_recorder_test
-  HOPS_THREADS=4 ./build-tsan/tests/sharded_refresh_soak_test
   HOPS_THREADS=4 ./build-tsan/tests/http_parser_test
   HOPS_THREADS=4 ./build-tsan/tests/net_server_test
   # The storage suites include the kill-9-under-churn soak: the crash child

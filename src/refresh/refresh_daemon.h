@@ -1,12 +1,11 @@
 // Background refresh driver (DESIGN.md §8 "Daemon lifecycle").
 //
 // The RefreshDaemon owns one background thread that periodically runs
-// RefreshSource::Tick — drain the update log(s), apply deltas through the
+// RefreshSource::Tick — drain the update log, apply deltas through the
 // maintenance hooks, rebuild the stalest columns, republish one immutable
-// snapshot. The source is either a single RefreshManager (§8) or a
-// ShardedRefreshManager (§10) — the daemon is agnostic. Between ticks the
-// thread sleeps on a condition variable, so RequestTick() (or shutdown)
-// wakes it immediately.
+// snapshot. The source is a RefreshManager, or a wrapper around one that
+// times or observes its ticks. Between ticks the thread sleeps on a
+// condition variable, so RequestTick() (or shutdown) wakes it immediately.
 //
 // Lifecycle contract:
 //   Start()        — spawns the thread; AlreadyExists if running.
@@ -40,8 +39,8 @@ struct RefreshDaemonOptions {
   int64_t tick_interval_micros = 100'000;
 };
 
-/// \brief Periodic background driver of a RefreshSource (a RefreshManager
-/// or a ShardedRefreshManager). All public methods are thread-safe.
+/// \brief Periodic background driver of a RefreshSource. All public
+/// methods are thread-safe.
 class RefreshDaemon {
  public:
   /// \p source must outlive the daemon. The daemon is the source's single

@@ -298,9 +298,6 @@ Status RefreshManager::WriteBackLocked(ColumnState& state) {
 }
 
 Status RefreshManager::RepublishLocked() {
-  // Publication disabled: a coordinator (e.g. ShardedRefreshManager) owns
-  // the snapshot store and publishes one merged snapshot for all shards.
-  if (store_ == nullptr) return Status::OK();
   static telemetry::SpanSite& republish_site =
       telemetry::GetSpanSite("Refresh.Republish");
   telemetry::TraceSpan span(republish_site);
@@ -599,24 +596,6 @@ Status RefreshManager::ForceRebuild(std::span<const RefreshColumnId> ids) {
   return Status::OK();
 }
 
-Status RefreshManager::RebuildColumns(
-    std::span<const std::pair<RefreshColumnId, RebuildReason>> picks) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<RefreshColumnId, RebuildReason>> owned;
-  owned.reserve(picks.size());
-  for (const auto& [id, reason] : picks) {
-    if (id >= columns_.size()) {
-      return Status::InvalidArgument("unknown refresh column id " +
-                                     std::to_string(id));
-    }
-    owned.push_back({id, reason});
-  }
-  bool installed = false;
-  HOPS_RETURN_NOT_OK(RebuildColumnsLocked(std::move(owned), &installed));
-  if (installed) HOPS_RETURN_NOT_OK(RepublishLocked());
-  return Status::OK();
-}
-
 Result<RefreshTickReport> RefreshManager::Tick() {
   // Each tick roots its own trace (DESIGN.md §14): ticks run on the refresh
   // daemon's thread, outside any request, so when no context is already
@@ -651,7 +630,7 @@ Result<RefreshTickReport> RefreshManager::Tick() {
     // At most one publication per tick: the apply-path and rebuild-path
     // write-backs coalesce into a single RCU swap.
     HOPS_RETURN_NOT_OK(RepublishLocked());
-    report.republished = store_ != nullptr;
+    report.republished = true;
   } else {
     // No-op tick: skip publication so readers keep their cached snapshot
     // (and the RCU epoch does not churn for nothing).

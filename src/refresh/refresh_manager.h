@@ -101,10 +101,8 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   /// \p catalog must be non-null and outlive the manager; the manager
   /// assumes mutation authority over it (external writers must not mutate
   /// the catalog concurrently with Tick — the Catalog is thread-compatible).
-  /// \p store may be null: publication is then disabled entirely
-  /// (republish_count stays 0) and some coordinator owns snapshot
-  /// publication — this is how ShardedRefreshManager embeds one manager per
-  /// shard while still publishing a single merged snapshot per tick.
+  /// \p store must be non-null and outlive the manager; every write-back
+  /// is published through it.
   RefreshManager(Catalog* catalog, SnapshotStore* store,
                  RefreshOptions options = {});
 
@@ -225,9 +223,8 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
 
   /// Drains buffered predicate feedback into in-place tuning adjustments
   /// (refresh/self_tuner.h) and decays the tuning-recency relief signal;
-  /// republishes when anything changed (and a store is attached). No-op
-  /// with tuning disabled. Returns whether any column mutated. Tick calls
-  /// this internally; ShardedRefreshManager drives it per shard.
+  /// republishes when anything changed. No-op with tuning disabled.
+  /// Returns whether any column mutated. Tick calls this internally.
   Result<bool> TuneColumns();
 
   /// Scores every column (no mutation). Sorted worst-first.
@@ -244,14 +241,6 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
 
   /// Unconditionally rebuilds \p ids (counted as RebuildReason::kForced).
   Status ForceRebuild(std::span<const RefreshColumnId> ids);
-
-  /// Rebuilds exactly \p picks with the given reason attribution (the
-  /// coordinator-facing sibling of RebuildIfStale: ShardedRefreshManager
-  /// scores globally, budgets per shard, then hands each shard its picks).
-  /// InvalidArgument on unknown ids; publishes once when anything was
-  /// installed (and a store is attached).
-  Status RebuildColumns(
-      std::span<const std::pair<RefreshColumnId, RebuildReason>> picks);
 
   /// One full maintenance cycle: ApplyPendingDeltas + RebuildIfStale under
   /// a single lock acquisition, publishing **at most one** snapshot — a
@@ -292,7 +281,7 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   /// (the relative error is clamped so one absurd report cannot saturate
   /// the signal forever).
   void FoldFeedbackLocked(ColumnState& state, double estimated, double actual);
-  /// Publishes the catalog through the store; no-op when store_ == nullptr.
+  /// Publishes the catalog through the store.
   Status RepublishLocked();
   StalenessScore ScoreLocked(const ColumnState& state) const;
   void RecomputeMomentsLocked(ColumnState& state);

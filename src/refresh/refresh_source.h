@@ -1,11 +1,10 @@
-// The driver-facing face of a refresh consumer (DESIGN.md §8/§10).
+// The driver-facing face of a refresh consumer (DESIGN.md §8).
 //
-// The RefreshDaemon does not care whether its ticks land on one
-// RefreshManager (§8, single consumer) or on a ShardedRefreshManager (§10,
-// N shard workers coordinated into one publication): both expose the same
-// two-method contract — "run one maintenance cycle" and "how much ingest is
-// still queued" (the daemon's DrainAndStop exit condition). RefreshSource
-// is that contract.
+// The RefreshDaemon needs two things from what it drives: "run one
+// maintenance cycle" and "how much ingest is still queued" (its
+// DrainAndStop exit condition). RefreshSource is that contract.
+// RefreshManager implements it; a test or benchmark can wrap a manager in
+// its own RefreshSource to time or observe each tick the daemon runs.
 
 #pragma once
 
@@ -25,15 +24,14 @@ struct RefreshTickReport {
   /// churning the SnapshotStore RCU epoch would invalidate reader-side
   /// caches for nothing (counted in RefreshStats::ticks_skipped).
   bool changed = false;
-  /// Whether a snapshot was published (changed, and a store is attached).
+  /// Whether a snapshot was published (every changed tick publishes once).
   bool republished = false;
   double seconds = 0;
 };
 
-/// \brief A tickable refresh consumer. Implementations: RefreshManager
-/// (one drain/score/rebuild loop) and ShardedRefreshManager (N of them,
-/// one merged publication). Single-consumer: call Tick from one thread at
-/// a time; pending_update_records is thread-safe.
+/// \brief A tickable refresh consumer (RefreshManager, or a wrapper around
+/// one). Single-consumer: call Tick from one thread at a time;
+/// pending_update_records is thread-safe.
 class RefreshSource {
  public:
   virtual ~RefreshSource() = default;

@@ -19,11 +19,6 @@
 // rotate the WAL, drop snapshots beyond keep_snapshots, and retire WAL
 // segments covered by the OLDEST retained snapshot — falling back past a
 // corrupt newest snapshot therefore never needs retired records.
-//
-// The ShardedRefreshManager is NOT yet covered: it owns per-shard managers
-// with independent queues; persisting it needs per-shard WAL streams and a
-// snapshot barrier across shards (ROADMAP). Single-manager stacks — the
-// serving example and the ServingStack — are fully supported.
 
 #pragma once
 

@@ -67,11 +67,11 @@ SpanSite& GetSpanSite(std::string_view name,
                       MetricRegistry* registry = &MetricRegistry::Global());
 
 /// \brief Labeled variant: the site's metric families carry
-/// {span="<name>"} plus \p extra_labels — e.g. the §10 sharded refresh
-/// instruments Refresh.ShardTick once per shard with {shard="<i>"}, so
-/// per-shard latency splits out in the exporters with no extra plumbing.
+/// {span="<name>"} plus \p extra_labels — e.g. the HTTP service
+/// instruments Net.Request once per endpoint with {endpoint="<path>"}, so
+/// per-endpoint latency splits out in the exporters with no extra plumbing.
 /// Sites are keyed by (registry, name, extra_labels); cardinality is the
-/// caller's responsibility (shard counts are small and fixed). Cache the
+/// caller's responsibility (endpoint sets are small and fixed). Cache the
 /// reference per (site, label) pair — do NOT call per span on a hot path.
 SpanSite& GetSpanSite(std::string_view name, const LabelSet& extra_labels,
                       MetricRegistry* registry = &MetricRegistry::Global());

@@ -144,15 +144,18 @@ TEST(RefreshDaemonTest, DrainAndStopAppliesEverythingEnqueued) {
   EXPECT_DOUBLE_EQ(stats->histogram.LookupFrequency(2), 400.0);
 }
 
-// The headline concurrency soak (ISSUE acceptance): writers push deltas
-// through the bounded log, readers serve batched estimates from whatever
-// snapshot is published, the daemon ticks fast enough to apply, rebuild,
-// and republish continuously. Invariants checked from the reader side:
+// The headline concurrency soak: writers push deltas (single records and
+// atomic batches) through the bounded log, readers serve batched estimates
+// from whatever snapshot is published, the daemon ticks fast enough to
+// apply, rebuild, and republish continuously. Invariants checked from the
+// reader side:
 //   1. source_version is monotone (RCU publication never goes backwards);
 //   2. every snapshot is internally consistent — each column's scalar
 //      num_tuples matches its compiled histogram's total mass (a torn
 //      publish or a mid-mutation compile would break this);
 //   3. estimates are finite and nonnegative.
+// And after the drain: exact mass reconciliation — no delta lost or
+// double-applied anywhere in the pipeline.
 TEST(RefreshDaemonTest, SoakWritersReadersDaemon) {
   Fixture f;
   RefreshOptions options;
@@ -193,6 +196,22 @@ TEST(RefreshDaemonTest, SoakWritersReadersDaemon) {
       }
     });
   }
+
+  // One more writer issues atomic RecordBatch chunks (insert, insert,
+  // delete of its own value, applied in order: net +1 per chunk, never
+  // below zero), so the batch accept path races the daemon's drain too.
+  constexpr int kBatches = 500;
+  constexpr int64_t kBatchOwned = 100 + kWriters;
+  const RefreshColumnId batch_column = *right;
+  writers.emplace_back([&] {
+    const std::vector<UpdateRecord> chunk = {
+        UpdateRecord{batch_column, kBatchOwned, +1.0},
+        UpdateRecord{batch_column, kBatchOwned, +1.0},
+        UpdateRecord{batch_column, kBatchOwned, -1.0}};
+    for (int i = 0; i < kBatches; ++i) {
+      ASSERT_TRUE(manager.RecordBatch(chunk).ok());
+    }
+  });
 
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
@@ -253,8 +272,11 @@ TEST(RefreshDaemonTest, SoakWritersReadersDaemon) {
   EXPECT_EQ(manager.update_log().depth(), 0u);
 
   RefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.deltas_applied,
-            static_cast<uint64_t>(kWriters * kOpsPerWriter));
+  const uint64_t expected_records =
+      static_cast<uint64_t>(kWriters * kOpsPerWriter + 3 * kBatches);
+  EXPECT_EQ(stats.deltas_applied, expected_records);
+  EXPECT_EQ(stats.log.enqueued, expected_records);
+  EXPECT_EQ(stats.log.drained, expected_records);
   EXPECT_EQ(stats.unknown_column_records, 0u);
   EXPECT_GE(stats.republish_count, 1u);
   EXPECT_GT(stats.ticks, 0u);
@@ -275,6 +297,7 @@ TEST(RefreshDaemonTest, SoakWritersReadersDaemon) {
     }
     (w % 2 == 0 ? expected_left : expected_right) += net;
   }
+  expected_right += kBatches;  // the batch writer's net growth
   auto fact_stats = f.catalog.GetColumnStatistics("fact", "key");
   auto dim_stats = f.catalog.GetColumnStatistics("dim", "key");
   ASSERT_TRUE(fact_stats.ok());

@@ -513,7 +513,7 @@ TEST(RefreshManagerTest, TickRunsTheFullCycle) {
   EXPECT_EQ(stats.columns_tracked, 1u);
 }
 
-// The single-publication contract (ISSUE §10 satellite): a busy tick that
+// The single-publication contract (DESIGN.md §8): a busy tick that
 // both applies deltas AND rebuilds coalesces its write-backs into exactly
 // one RCU swap. Before the fix, ApplyPendingDeltas and the rebuild path
 // each republished — two swaps per busy tick, doubling reader cache
@@ -570,53 +570,6 @@ TEST(RefreshManagerTest, NoOpTickSkipsPublication) {
   ASSERT_TRUE(unknown_only.ok());
   EXPECT_FALSE(unknown_only->republished);
   EXPECT_EQ(manager.stats().ticks_skipped, 2u);
-}
-
-// Null-store mode: the embedding coordinator (ShardedRefreshManager) owns
-// publication, so the per-shard pipeline applies and rebuilds but never
-// touches a SnapshotStore.
-TEST(RefreshManagerTest, NullStoreDisablesPublication) {
-  Catalog catalog;
-  RefreshOptions options;
-  options.maintenance.rebuild_drift_fraction = 0.05;
-  RefreshManager manager(&catalog, /*store=*/nullptr, options);
-  auto id = RegisterSkewed(&manager, "orders", "customer_id");
-  ASSERT_TRUE(id.ok());
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(manager.RecordInsert(*id, 5).ok());
-  }
-  auto busy = manager.Tick();
-  ASSERT_TRUE(busy.ok());
-  EXPECT_EQ(busy->deltas_applied, 60u);
-  EXPECT_TRUE(busy->changed);        // the catalog moved...
-  EXPECT_FALSE(busy->republished);   // ...but nothing was published
-  EXPECT_EQ(manager.stats().republish_count, 0u);
-  // The catalog itself carries the maintained statistics regardless.
-  auto stats = catalog.GetColumnStatistics("orders", "customer_id");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_DOUBLE_EQ(stats->num_tuples, 400.0 + 200.0 + 18 * 10.0 + 60.0);
-}
-
-TEST(RefreshManagerTest, RebuildColumnsAttributesReasonsAndPublishesOnce) {
-  Fixture f;
-  RefreshManager manager(&f.catalog, &f.store);
-  auto a = RegisterSkewed(&manager, "t", "a");
-  auto b = RegisterSkewed(&manager, "t", "b");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const uint64_t republish_before = manager.stats().republish_count;
-  std::vector<std::pair<RefreshColumnId, RebuildReason>> picks = {
-      {*a, RebuildReason::kFeedback}, {*b, RebuildReason::kSelfJoin}};
-  ASSERT_TRUE(manager.RebuildColumns(picks).ok());
-  RefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.rebuilds_feedback, 1u);
-  EXPECT_EQ(stats.rebuilds_self_join, 1u);
-  EXPECT_EQ(stats.rebuilds_total, 2u);
-  EXPECT_EQ(stats.republish_count, republish_before + 1);  // one swap
-
-  std::vector<std::pair<RefreshColumnId, RebuildReason>> bad = {
-      {42, RebuildReason::kForced}};
-  EXPECT_TRUE(manager.RebuildColumns(bad).IsInvalidArgument());
 }
 
 TEST(RefreshManagerTest, DeleteOfUntrackedValueIsDriftOnly) {

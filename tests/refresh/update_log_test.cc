@@ -289,7 +289,7 @@ TEST(UpdateLogTest, ProducerWaitsCountBlockedIntervalsExactly) {
 
 // Close() racing several blocked batch producers: every producer fails
 // exactly once with zero records admitted — nothing lost, nothing duplicated,
-// nothing torn (ISSUE §10 write-path correctness).
+// nothing torn (DESIGN.md §8 write-path correctness).
 TEST(UpdateLogTest, CloseWhileManyBatchProducersBlockedAdmitsNone) {
   UpdateLog log(2);
   ASSERT_TRUE(log.RecordInsert(9, 1).ok());  // fill the log

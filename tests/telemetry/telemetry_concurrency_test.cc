@@ -243,7 +243,7 @@ TEST(TelemetryConcurrencyTest, SinkWritesWhileWritersRecord) {
 }
 
 
-// The atomic-publication regression (ISSUE §10 satellite): a fixed metric
+// The atomic-publication regression (DESIGN.md §8): a fixed metric
 // set renders identically every time, so a concurrent scraper reading the
 // sink's path must see exactly that byte string on every read — never a
 // prefix, never an interleaving of two writes. Before the temp-file +
