@@ -28,15 +28,8 @@
 // Timing is min-of-reps for every path (legacy, snapshot, batched): serving
 // throughput is a steady-state property and single-shot numbers on shared CI
 // boxes are dominated by cold caches and scheduler noise. For the batched
-// path the first rep is additionally recorded as batched_cold_seconds — it
-// pays the cold Eytzinger arrays and an empty memo table — and later reps
-// deliberately hit the per-snapshot EstimateCache (DESIGN.md §12): repeated
-// predicates are exactly the traffic that cache exists for, and the
-// fingerprint check runs on *every* rep, so a hit that returned different
-// bits from the miss path would fail the bench. The kernel's own win,
-// isolated from the cache, is the eytzinger_vs_lower_bound block: the same
-// probe set through the branchy scalar search, the scalar Eytzinger search,
-// and the interleaved multi-probe kernel, with an index-identity check.
+// path the first rep is additionally recorded as batched_cold_seconds, and
+// the fingerprint check runs on *every* rep.
 //
 // A telemetry_overhead block (DESIGN.md §9) measures the instrumented vs
 // HOPS_TELEMETRY-off delta on repeated EstimateBatch calls — the ≤2%
@@ -78,7 +71,6 @@ struct BenchConfig {
   size_t point_queries = 20000;
   size_t chain_queries = 200;
   size_t reps = 5;            // timing reps per path; reported time is the min
-  size_t probe_sweep = 200000;  // needles in the eytzinger_vs_lower_bound sweep
 };
 
 // Zipf-like integer frequency for rank i (integer-valued so the compiled
@@ -131,7 +123,7 @@ struct WorkloadResult {
   double legacy_seconds = 0;
   double snapshot_seconds = 0;
   double batched_seconds = 0;
-  double batched_cold_seconds = 0;  // first rep: cold layout + empty memo
+  double batched_cold_seconds = 0;  // first rep
   double speedup_snapshot = 0;
   double speedup_batched = 0;
   bool identical = true;
@@ -205,7 +197,6 @@ int Run(int argc, char** argv) {
     cfg.point_queries = 4000;
     cfg.chain_queries = 50;
     cfg.reps = 3;
-    cfg.probe_sweep = 40000;
   }
 
   const size_t threads = ThreadPool::Global().num_threads();
@@ -299,8 +290,7 @@ int Run(int argc, char** argv) {
       const double elapsed = sw_batched.ElapsedSeconds();
       if (rep == 0) r.batched_cold_seconds = elapsed;
       r.batched_seconds = std::min(r.batched_seconds, elapsed);
-      // Rep 0 exercises the kernel + memo misses, later reps the hit path:
-      // every rep must reproduce the legacy bits.
+      // Every rep must reproduce the legacy bits.
       r.identical = r.identical && BitIdentical(legacy, batched);
     }
     r.speedup_snapshot =
@@ -427,62 +417,6 @@ int Run(int argc, char** argv) {
     workloads.push_back(r);
   }
 
-  // ------------------------------------------- eytzinger_vs_lower_bound
-  // Kernel sweep, isolated from the memo cache and the estimate arithmetic:
-  // the same needle set through the branchy scalar binary search, the
-  // scalar Eytzinger descent, and the interleaved multi-probe kernel. All
-  // three must produce exactly the same indices — the bench-side twin of
-  // tests/histogram/eytzinger_test.cc's exhaustive equivalence proof.
-  double sweep_lower_bound_seconds = 0;
-  double sweep_eytzinger_seconds = 0;
-  double sweep_multiprobe_seconds = 0;
-  bool sweep_identical = true;
-  const size_t sweep_probes = cfg.probe_sweep;
-  {
-    auto id = snapshot->Resolve(TableName(0), "a");
-    id.status().Check();
-    const CompiledHistogram& hist = *snapshot->stats(*id).histogram;
-    std::vector<int64_t> needles(sweep_probes);
-    for (int64_t& n : needles) {
-      // Needles spill past both ends of the key domain so the sweep hits
-      // the 0 and n boundary ranks, not just interior ones.
-      n = static_cast<int64_t>(
-              rng.NextBounded(static_cast<uint64_t>(3 * domain))) -
-          domain / 2;
-    }
-    std::vector<size_t> idx_scalar(sweep_probes), idx_eytz(sweep_probes),
-        idx_multi(sweep_probes);
-    sweep_lower_bound_seconds = MinOfReps(cfg.reps, [&] {
-      for (size_t i = 0; i < sweep_probes; ++i) {
-        idx_scalar[i] = hist.LowerBound(needles[i]);
-      }
-    });
-    sweep_eytzinger_seconds = MinOfReps(cfg.reps, [&] {
-      for (size_t i = 0; i < sweep_probes; ++i) {
-        idx_eytz[i] = hist.EytzingerLowerBound(needles[i]);
-      }
-    });
-    sweep_multiprobe_seconds = MinOfReps(cfg.reps, [&] {
-      internal::MultiProbeLowerBounds(hist, needles, idx_multi.data());
-    });
-    sweep_identical = idx_scalar == idx_eytz && idx_scalar == idx_multi;
-    // The upper-bound variant shares everything but the comparison; verify
-    // its identity too (untimed — the cost story is the same descent).
-    std::vector<size_t> upper_multi(sweep_probes);
-    internal::MultiProbeUpperBounds(hist, needles, upper_multi.data());
-    for (size_t i = 0; i < sweep_probes && sweep_identical; ++i) {
-      sweep_identical = upper_multi[i] == hist.UpperBound(needles[i]) &&
-                        upper_multi[i] == hist.EytzingerUpperBound(needles[i]);
-    }
-    const double to_ns = 1e9 / static_cast<double>(sweep_probes);
-    std::cout << "  eytzinger_vs_lower_bound: lower_bound "
-              << sweep_lower_bound_seconds * to_ns << " ns/probe, eytzinger "
-              << sweep_eytzinger_seconds * to_ns << " ns/probe, multiprobe "
-              << sweep_multiprobe_seconds * to_ns << " ns/probe ("
-              << sweep_lower_bound_seconds / sweep_multiprobe_seconds
-              << "x), identical " << (sweep_identical ? "yes" : "NO") << "\n";
-  }
-
   // ---------------------------------------------------- telemetry_overhead
   // The §9 cost contract: instrumentation on the serving path (one span +
   // one sharded counter add per *batch*) must stay within ~2% of the
@@ -553,7 +487,7 @@ int Run(int argc, char** argv) {
   w.Double(decode_seconds);
   w.Key("workloads");
   w.BeginArray();
-  bool all_identical = sweep_identical;
+  bool all_identical = true;
   for (const WorkloadResult& r : workloads) {
     WriteWorkload(&w, r);
     all_identical = all_identical && r.identical;
@@ -565,34 +499,6 @@ int Run(int argc, char** argv) {
               << (r.identical ? "yes" : "NO") << "\n";
   }
   w.EndArray();
-
-  w.Key("eytzinger_vs_lower_bound");
-  w.BeginObject();
-  w.Key("probes");
-  w.UInt(sweep_probes);
-  w.Key("reps");
-  w.UInt(cfg.reps);
-  w.Key("lower_bound_seconds");
-  w.Double(sweep_lower_bound_seconds);
-  w.Key("eytzinger_seconds");
-  w.Double(sweep_eytzinger_seconds);
-  w.Key("multiprobe_seconds");
-  w.Double(sweep_multiprobe_seconds);
-  w.Key("speedup_eytzinger");
-  w.Double(sweep_eytzinger_seconds > 0
-               ? sweep_lower_bound_seconds / sweep_eytzinger_seconds
-               : 0);
-  w.Key("speedup_multiprobe");
-  w.Double(sweep_multiprobe_seconds > 0
-               ? sweep_lower_bound_seconds / sweep_multiprobe_seconds
-               : 0);
-  w.Key("ns_per_probe_lower_bound");
-  w.Double(1e9 * sweep_lower_bound_seconds / static_cast<double>(sweep_probes));
-  w.Key("ns_per_probe_multiprobe");
-  w.Double(1e9 * sweep_multiprobe_seconds / static_cast<double>(sweep_probes));
-  w.Key("identical");
-  w.Bool(sweep_identical);
-  w.EndObject();
 
   // Acceptance headline: at M >= 1e5 the compiled range path must beat the
   // linear reference by >= 10x, with every estimate bit-identical.
@@ -611,25 +517,6 @@ int Run(int argc, char** argv) {
   w.Bool(range.identical);
   w.Key("meets_10x_target");
   w.Bool(cfg.m < 100000 || threads < 4 || headline_speedup >= 10.0);
-  w.EndObject();
-
-  // The §12 acceptance headline: batched point probes vs the decoded
-  // baseline, steady state (min-of-reps; the cold number rides along in the
-  // workload entry). Recorded honestly — meets_1p5x_target is data, not a
-  // gate, so a slow CI box reports false instead of flaking the build.
-  const WorkloadResult& point = workloads[1];
-  w.Key("point_headline");
-  w.BeginObject();
-  w.Key("workload");
-  w.String(point.name);
-  w.Key("speedup_snapshot");
-  w.Double(point.speedup_snapshot);
-  w.Key("speedup_batched");
-  w.Double(point.speedup_batched);
-  w.Key("batched_beats_snapshot");
-  w.Bool(point.speedup_batched >= point.speedup_snapshot);
-  w.Key("meets_1p5x_target");
-  w.Bool(point.speedup_batched >= 1.5);
   w.EndObject();
 
   w.Key("telemetry_overhead");

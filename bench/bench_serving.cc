@@ -14,7 +14,7 @@
 //                   point records wall-clock requests/sec and client-side
 //                   p50/p99/p999 request latency.
 //
-//   binary_vs_json — the §12 wire-framing axis: the same 4-spec batch sent
+//   binary_vs_json — the §11 wire-framing axis: the same 4-spec batch sent
 //                    as JSON and as application/x-hops-batch over one
 //                    keep-alive connection, requests/sec each, plus a
 //                    bit-identity check (the binary response's raw doubles

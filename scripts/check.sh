@@ -15,9 +15,9 @@
 #   --serving-smoke  build + run examples/serve_estimates, curl /metrics
 #              and /estimate over loopback, and grep the responses for the
 #              expected metric families (the §11 end-to-end serving gate)
-#   --probe-smoke  build + run bench_estimation --quick and assert the §12
-#              determinism gates: eytzinger_vs_lower_bound.identical, every
-#              workload bit-identical, and batched >= snapshot per workload
+#   --probe-smoke  build + run bench_estimation --quick and assert the
+#              estimation gates: every workload bit-identical, and
+#              batched >= snapshot per workload
 #   --recovery-smoke  build + run serve_estimates with a data dir, accept
 #              updates over /update, kill -9 the server, restart it on the
 #              same dir, and assert the /estimate answer is bit-identical —
@@ -60,17 +60,14 @@ for arg in "$@"; do
   esac
 done
 
-# The §12 batched-fast-lane gates, shared by tier-1 (on the full bench
-# output) and --probe-smoke (on a fresh --quick run): every workload must be
-# bit-identical to the legacy reference, the Eytzinger sweep must agree with
-# std::lower_bound, and the batched lane must never lose to the plain
-# snapshot lane it builds on.
+# The estimation gates, shared by tier-1 (on the full bench output) and
+# --probe-smoke (on a fresh --quick run): every workload must be
+# bit-identical to the legacy reference, and the batched path must never
+# lose to the plain snapshot path it builds on.
 assert_estimation_gates() {
   python3 - "$1" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-sweep = doc["eytzinger_vs_lower_bound"]
-assert sweep["identical"], "eytzinger_vs_lower_bound: index mismatch"
 for w in doc["workloads"]:
     name = w["name"]
     assert w["identical"], f"{name}: batched estimates not bit-identical"
@@ -78,8 +75,7 @@ for w in doc["workloads"]:
         f"{name}: batched lane ({w['speedup_batched']:.3f}x) lost to the "
         f"snapshot lane ({w['speedup_snapshot']:.3f}x)")
 print(f"estimation gates: {len(doc['workloads'])} workloads bit-identical, "
-      f"batched >= snapshot everywhere, eytzinger sweep identical "
-      f"({sweep['speedup_multiprobe']:.2f}x multiprobe).")
+      f"batched >= snapshot everywhere.")
 PY
 }
 
@@ -138,11 +134,10 @@ print(f"tracing gate: {t['overhead_percent']:.2f}% overhead at 1/"
       f"estimates bit-identical.")
 PY
 
-  # And the §12 estimation bench: the batched/multiprobe axes, the cold-call
-  # record, the point-workload headline, and provenance.
+  # And the estimation bench: the batched axis, the cold-call record, and
+  # provenance.
   echo "== Checking BENCH_estimation.json schema (batched axes + provenance) =="
-  for field in '"eytzinger_vs_lower_bound"' '"speedup_multiprobe"' \
-      '"speedup_batched"' '"batched_cold_seconds"' '"point_headline"' \
+  for field in '"speedup_batched"' '"batched_cold_seconds"' \
       '"identical"' '"timestamp_utc"' '"git_rev"'; do
     if ! grep -q "$field" BENCH_estimation.json; then
       echo "BENCH_estimation.json: missing field $field" >&2
@@ -437,14 +432,14 @@ PY
 fi
 
 if [[ "$RUN_PROBE_SMOKE" == 1 ]]; then
-  echo "== Probe smoke (bench_estimation --quick, §12 gates) =="
+  echo "== Probe smoke (bench_estimation --quick, estimation gates) =="
   cmake -B build -G Ninja
   cmake --build build --target bench_estimation
   PROBE_OUT=$(mktemp /tmp/probe_smoke.XXXXXX.json)
   ./build/bench/bench_estimation "$PROBE_OUT" --quick
   assert_estimation_gates "$PROBE_OUT"
   rm -f "$PROBE_OUT"
-  echo "probe smoke: all §12 gates hold."
+  echo "probe smoke: all estimation gates hold."
 fi
 
 if [[ "$RUN_SELFTUNE_SMOKE" == 1 ]]; then

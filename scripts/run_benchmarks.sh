@@ -9,10 +9,9 @@
 #      parallel batched construction, verifies the parallel results are
 #      bit-identical to serial, and writes BENCH_histograms.json.
 #   3. Run bench/bench_estimation, which times the legacy decode-per-query
-#      estimators against the compiled snapshot serving path and the §12
-#      batched fast lane (Eytzinger multi-probe kernel + per-snapshot
-#      estimate cache), verifies bit-identical estimates on every rep, and
-#      writes BENCH_estimation.json.
+#      estimators against the compiled snapshot serving path and the
+#      chunked EstimateBatch path on the global pool, verifies bit-identical
+#      estimates on every rep, and writes BENCH_estimation.json.
 #   4. Run bench/bench_refresh, which measures the adaptive refresh
 #      subsystem (delta-apply throughput, batched rebuild latency, reader
 #      p50/p99 while the daemon churns, and the §15 selftune axis: tuned
@@ -21,7 +20,7 @@
 #      BENCH_refresh.json.
 #   5. Run bench/bench_serving, which drives the epoll HTTP front-end over
 #      loopback with a closed-loop load generator swept over concurrent
-#      connections, compares the JSON and §12 binary framings on the same
+#      connections, compares the JSON and §11 binary framings on the same
 #      batch, and writes BENCH_serving.json (requests/sec, p50/p99/p999
 #      request latency per point, binary_vs_json axis).
 #   6. Run bench/bench_storage, which times §13 durable storage: snapshot
@@ -102,13 +101,11 @@ with open("BENCH_estimation.json") as f:
 assert doc["bench"] == "estimation_serving", doc.get("bench")
 assert isinstance(doc["workloads"], list) and doc["workloads"], "no workloads"
 assert all(w["identical"] for w in doc["workloads"]), "non-identical workload"
-# The §12 ordering gate: the batched lane builds on the snapshot lane and
-# must never lose to it.
+# The ordering gate: the batched path builds on the snapshot path and must
+# never lose to it.
 for w in doc["workloads"]:
     assert w["speedup_batched"] >= w["speedup_snapshot"], (
         f"{w['name']}: batched lost to snapshot")
-sweep = doc["eytzinger_vs_lower_bound"]
-assert sweep["identical"], "eytzinger sweep: index mismatch"
 head = doc["headline"]
 print(f"headline: workload={head['workload']} m={head['m']} "
       f"speedup={head['speedup']:.2f}x identical={head['identical']} "
@@ -116,12 +113,6 @@ print(f"headline: workload={head['workload']} m={head['m']} "
       f"(threads={doc['threads']})")
 assert head["identical"]
 assert head["meets_10x_target"]
-point = doc["point_headline"]
-print(f"point_headline: batched {point['speedup_batched']:.2f}x vs snapshot "
-      f"{point['speedup_snapshot']:.2f}x, multiprobe sweep "
-      f"{sweep['speedup_multiprobe']:.2f}x, "
-      f"meets_1p5x_target={point['meets_1p5x_target']}")
-assert point["batched_beats_snapshot"]
 EOF
 
 echo "== Optimized bench: adaptive refresh subsystem =="

@@ -31,17 +31,6 @@ Result<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Compile(
     compiled.histogram = stats.histogram.compiled_shared();
     snapshot->columns_.push_back(std::move(compiled));
   }
-  if (!snapshot->columns_.empty()) {
-    // Size the memo table for a serving tier's repeated-predicate working
-    // set: admission stops at 50% load, so slots/2 distinct predicates can
-    // be memoized per snapshot lifetime. The ceiling (65536 slots * 40-byte
-    // slots = 2.5 MiB) bounds what a high-churn refresh tick pays per
-    // publish; the table is lossy anyway, a dropped insert only costs a
-    // recomputation.
-    const size_t slots =
-        std::clamp<size_t>(4096 * snapshot->columns_.size(), 8192, 65536);
-    snapshot->estimate_cache_ = EstimateCache(slots);
-  }
   return std::shared_ptr<const CatalogSnapshot>(std::move(snapshot));
 }
 

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "engine/catalog.h"
-#include "engine/estimate_cache.h"
 #include "histogram/compiled.h"
 #include "util/status.h"
 
@@ -80,15 +79,8 @@ class CatalogSnapshot {
   /// catalog's version to detect staleness.
   uint64_t source_version() const { return source_version_; }
 
-  /// The snapshot's memoized-estimate table (DESIGN.md §12). Estimates are
-  /// pure functions of this immutable snapshot, so cached values can never
-  /// go stale: RCU retirement of the snapshot IS the invalidation. Empty
-  /// snapshots carry a zero-capacity cache (lookups miss, inserts no-op).
-  const EstimateCache& estimate_cache() const { return estimate_cache_; }
-
  private:
   std::vector<CompiledColumnStats> columns_;  // sorted by (table, column)
-  EstimateCache estimate_cache_;
   uint64_t source_version_ = 0;
 };
 

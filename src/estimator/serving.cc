@@ -1,13 +1,11 @@
 #include "estimator/serving.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
 
 #include "engine/catalog.h"
-#include "engine/estimate_cache.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/math.h"
@@ -172,150 +170,13 @@ Status CheckColumn(const CatalogSnapshot& snapshot, ColumnId id,
   return Status::OK();
 }
 
-// ---------- Batched probe fast lane (DESIGN.md §12) ----------
-
-// Interleaved searches per kernel iteration. Eight lanes keep the cursors
-// and needles in registers while giving the memory system eight independent
-// in-flight misses per level — enough to cover DRAM latency on the deep
-// levels that fall out of cache.
-constexpr size_t kProbeLanes = 8;
-
-// How many specs ahead the cache-lookup and kernel-finish passes prefetch:
-// slot lines, and the keys/freqs/prefix entries the probe indices landed
-// on. Without this the finish loop is a serial chain of random accesses —
-// exactly the latency wall the kernel exists to avoid.
-constexpr size_t kCacheLookahead = 16;
-
-// Batch-local chain dedupe is O(unique x chains) pairwise compares; past
-// this many distinct chains in one batch, later ones skip the memo.
-constexpr size_t kMaxChainDedupe = 512;
-
-template <bool kUpper>
-void MultiProbeBoundsImpl(const CompiledHistogram& h,
-                          std::span<const int64_t> needles, size_t* out) {
-  const size_t n = h.num_explicit();
-  const uint32_t depth = h.eytzinger_depth();
-  if (depth == 0) {
-    std::fill(out, out + needles.size(), size_t{0});
-    return;
-  }
-  const int64_t* e = h.eytzinger_keys().data();
-  const uint32_t* ranks = h.eytzinger_ranks().data();
-  size_t i = 0;
-  for (; i + kProbeLanes <= needles.size(); i += kProbeLanes) {
-    size_t k[kProbeLanes];
-    int64_t x[kProbeLanes];
-    for (size_t lane = 0; lane < kProbeLanes; ++lane) {
-      k[lane] = 1;
-      x[lane] = needles[i + lane];
-    }
-    // All lanes descend in lockstep: every level issues kProbeLanes
-    // independent loads, so one lane's cache miss overlaps the others'
-    // instead of serializing the way a lone search's dependency chain does.
-    // The prefetch pulls the line holding nodes 8k..8k+7 — every possible
-    // descendant THREE levels below the lane's next node — so a deep
-    // level's miss is issued ~3*kProbeLanes lane-steps before its use
-    // (Khuong & Morin's B-ahead trick). The mask keeps the hint in bounds
-    // on the last levels, where the 3-below generation doesn't exist.
-    const size_t node_mask = (size_t{1} << depth) - 1;
-    for (uint32_t level = 0; level + 1 < depth; ++level) {
-      for (size_t lane = 0; lane < kProbeLanes; ++lane) {
-        const bool right =
-            kUpper ? (e[k[lane]] <= x[lane]) : (e[k[lane]] < x[lane]);
-        k[lane] = 2 * k[lane] + static_cast<size_t>(right);
-        __builtin_prefetch(e + ((8 * k[lane]) & node_mask));
-      }
-    }
-    for (size_t lane = 0; lane < kProbeLanes; ++lane) {
-      const bool right =
-          kUpper ? (e[k[lane]] <= x[lane]) : (e[k[lane]] < x[lane]);
-      k[lane] = 2 * k[lane] + static_cast<size_t>(right);
-    }
-    for (size_t lane = 0; lane < kProbeLanes; ++lane) {
-      const size_t node = k[lane] >> (std::countr_one(k[lane]) + 1);
-      out[i + lane] = node == 0 ? n : static_cast<size_t>(ranks[node]);
-    }
-  }
-  for (; i < needles.size(); ++i) {
-    out[i] = kUpper ? h.EytzingerUpperBound(needles[i])
-                    : h.EytzingerLowerBound(needles[i]);
-  }
-}
-
-// Exact cache keys (engine/estimate_cache.h): kind_col packs the estimate
-// kind with the primary column id; a/b carry the literal payload. Only
-// fixed-size predicates are keyed — chains and IN-lists are variable-length
-// and stay uncached (a hashed key could collide, and the serving layer's
-// contract is bit-identical, never probably-identical).
-EstimateCache::Key PointCacheKey(EstimateKind kind, ColumnId column,
-                                 int64_t catalog_key) {
-  return {(static_cast<uint64_t>(kind) << 32) | column,
-          static_cast<uint64_t>(catalog_key), 0};
-}
-
-EstimateCache::Key RangeCacheKey(ColumnId column, int64_t lo, int64_t hi) {
-  return {(static_cast<uint64_t>(EstimateKind::kRange) << 32) | column,
-          static_cast<uint64_t>(lo), static_cast<uint64_t>(hi)};
-}
-
-EstimateCache::Key JoinCacheKey(ColumnId left, ColumnId right) {
-  return {(static_cast<uint64_t>(EstimateKind::kJoin) << 32) | left, right, 0};
-}
-
-// What the classification pass decided for one spec.
-enum class LaneClass : uint8_t {
-  kDone,        // result already written (error, empty range, or cache hit)
-  kPoint,       // equality / not-equals -> one lower-bound probe
-  kRangeProbe,  // non-empty range -> lower(lo) + upper(hi) probes
-  kCachedMisc,  // EstimateOne, but cacheable (join)
-  kMisc,        // EstimateOne, uncached (IN-list, overflow chains)
-  kChainRep,    // chain, first occurrence in this batch (EstimateOne)
-  kChainAlias,  // chain, identical to an earlier one -> copy its result
-};
-
-// Kept to 32 bytes — the classify pass streams one of these per spec, and a
-// fat plan would evict the very cache lines the probe kernel wants hot.
-// Cache keys are recomputed from the payload at lookup/insert time (pure
-// ALU) instead of being stored.
-struct SpecPlan {
-  int64_t a = 0;       // kPoint: catalog key; kRangeProbe: lo; kCachedMisc:
-                       // join left. For kChainAlias: representative index.
-  int64_t b = 0;       // kRangeProbe: hi; kCachedMisc: join right
-  ColumnId column = 0;
-  LaneClass cls = LaneClass::kMisc;
-  bool negate = false;  // kPoint: not-equals
-  bool cacheable = false;
-};
-
-EstimateCache::Key PlanCacheKey(const SpecPlan& plan) {
-  switch (plan.cls) {
-    case LaneClass::kPoint:
-      return PointCacheKey(
-          plan.negate ? EstimateKind::kNotEquals : EstimateKind::kEquality,
-          plan.column, plan.a);
-    case LaneClass::kRangeProbe:
-      return RangeCacheKey(plan.column, plan.a, plan.b);
-    default:  // kCachedMisc (join)
-      return JoinCacheKey(static_cast<ColumnId>(plan.a),
-                          static_cast<ColumnId>(plan.b));
-  }
-}
+// Specs per pool task. A request-sized batch (8-32 specs per /estimate
+// request in hopsbench's traffic) fits one chunk and runs inline on the
+// caller's thread: waking pool helpers for it costs more than the estimates
+// themselves (DESIGN.md §6 "Grain-size tuning").
+constexpr size_t kSpecsPerTask = 64;
 
 }  // namespace
-
-namespace internal {
-
-void MultiProbeLowerBounds(const CompiledHistogram& histogram,
-                           std::span<const int64_t> needles, size_t* out) {
-  MultiProbeBoundsImpl<false>(histogram, needles, out);
-}
-
-void MultiProbeUpperBounds(const CompiledHistogram& histogram,
-                           std::span<const int64_t> needles, size_t* out) {
-  MultiProbeBoundsImpl<true>(histogram, needles, out);
-}
-
-}  // namespace internal
 
 Result<double> EstimateOne(const CatalogSnapshot& snapshot,
                            const EstimateSpec& spec) {
@@ -371,344 +232,29 @@ std::vector<Result<double>> EstimateBatch(const CatalogSnapshot& snapshot,
     estimates_total->Increment(specs.size());
     batches_total->Increment();
   }
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
-  const EstimateCache& cache = snapshot.estimate_cache();
-
-  // Pass 1 — classify (serial, pure ALU): resolve each spec to a lane and
-  // precompute its cache key. Identical chain specs are deduped here with
-  // exact (not hashed) comparison; the first occurrence becomes the
-  // representative, later ones copy its result after execution.
-  std::vector<SpecPlan> plans(specs.size());
-  std::vector<size_t> chain_reps;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const EstimateSpec& spec = specs[i];
-    SpecPlan& plan = plans[i];
-    switch (spec.kind) {
-      case EstimateKind::kEquality:
-      case EstimateKind::kNotEquals: {
-        Status check = CheckColumn(snapshot, spec.column,
-                                   spec.kind == EstimateKind::kEquality
-                                       ? "equality"
-                                       : "not-equals");
-        if (!check.ok()) {
-          results[i] = std::move(check);
-          plan.cls = LaneClass::kDone;
-          break;
-        }
-        plan.cls = LaneClass::kPoint;
-        plan.negate = spec.kind == EstimateKind::kNotEquals;
-        plan.column = spec.column;
-        plan.a = CatalogKeyFor(spec.literal);
-        plan.cacheable = true;
-        break;
-      }
-      case EstimateKind::kRange: {
-        Status check = CheckColumn(snapshot, spec.column, "range");
-        if (!check.ok()) {
-          results[i] = std::move(check);
-          plan.cls = LaneClass::kDone;
-          break;
-        }
-        // Same closed-interval normalization as EstimateRangeSelection;
-        // empty ranges short-circuit to 0.0 without probing.
-        const int64_t lo = spec.bounds.low + (spec.bounds.include_low ? 0 : 1);
-        const int64_t hi =
-            spec.bounds.high - (spec.bounds.include_high ? 0 : 1);
-        if (lo > hi) {
-          results[i] = 0.0;
-          plan.cls = LaneClass::kDone;
-          break;
-        }
-        plan.cls = LaneClass::kRangeProbe;
-        plan.column = spec.column;
-        plan.a = lo;
-        plan.b = hi;
-        plan.cacheable = true;
-        break;
-      }
-      case EstimateKind::kJoin:
-        plan.cls = LaneClass::kCachedMisc;
-        plan.a = spec.join_left;
-        plan.b = spec.join_right;
-        plan.cacheable = true;
-        break;
-      case EstimateKind::kDisjunctive:
-        plan.cls = LaneClass::kMisc;
-        break;
-      case EstimateKind::kChain: {
-        plan.cls = LaneClass::kChainRep;
-        for (size_t rep : chain_reps) {
-          const auto& mine = spec.chain;
-          const auto& theirs = specs[rep].chain;
-          if (mine.size() != theirs.size()) continue;
-          bool equal = true;
-          for (size_t s = 0; s < mine.size(); ++s) {
-            if (mine[s].left != theirs[s].left ||
-                mine[s].right != theirs[s].right) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            plan.cls = LaneClass::kChainAlias;
-            plan.a = static_cast<int64_t>(rep);
-            break;
-          }
-        }
-        if (plan.cls == LaneClass::kChainRep) {
-          if (chain_reps.size() < kMaxChainDedupe) {
-            chain_reps.push_back(i);
-          } else {
-            plan.cls = LaneClass::kMisc;  // memo full: estimate it directly
-          }
-        }
-        break;
-      }
-    }
-  }
-
-  // Pass 2 — memo lookup (serial): probe the snapshot's estimate cache for
-  // every exactly-keyed spec, prefetching slot lines a few specs ahead so
-  // the random-access table doesn't serialize the pass on memory latency.
-  // Misses fall through to the probe/misc lanes below.
-  std::vector<size_t> point_idx, range_idx, misc_idx;
-  point_idx.reserve(specs.size());
-  size_t cache_lookups = 0, cache_hits = 0;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const size_t ahead = i + kCacheLookahead;
-    if (ahead < specs.size() && plans[ahead].cacheable) {
-      cache.Prefetch(PlanCacheKey(plans[ahead]));
-    }
-    SpecPlan& plan = plans[i];
-    if (plan.cacheable) {
-      ++cache_lookups;
-      double value;
-      if (cache.Lookup(PlanCacheKey(plan), &value)) {
-        ++cache_hits;
-        results[i] = value;  // exact bits the miss path computed (purity)
-        plan.cls = LaneClass::kDone;
-        continue;
-      }
-    }
-    switch (plan.cls) {
-      case LaneClass::kPoint:
-        point_idx.push_back(i);
-        break;
-      case LaneClass::kRangeProbe:
-        range_idx.push_back(i);
-        break;
-      case LaneClass::kCachedMisc:
-      case LaneClass::kMisc:
-      case LaneClass::kChainRep:
-        misc_idx.push_back(i);
-        break;
-      case LaneClass::kDone:
-      case LaneClass::kChainAlias:
-        break;
-    }
-  }
-  if (span.recording() && cache_lookups > 0) {
-    static telemetry::Counter* cache_hits_total =
-        telemetry::MetricRegistry::Global().GetCounter(
-            "hops_estimate_cache_hits_total",
-            "EstimateBatch specs served from the snapshot estimate cache.");
-    static telemetry::Counter* cache_misses_total =
-        telemetry::MetricRegistry::Global().GetCounter(
-            "hops_estimate_cache_misses_total",
-            "EstimateBatch cache lookups that fell through to computation.");
-    if (cache_hits > 0) cache_hits_total->Increment(cache_hits);
-    if (cache_lookups > cache_hits) {
-      cache_misses_total->Increment(cache_lookups - cache_hits);
-    }
-  }
   if (span.emitting()) {
-    span.SetDetail("specs=" + std::to_string(specs.size()) +
-                   " cache_hits=" + std::to_string(cache_hits) +
-                   " cache_misses=" +
-                   std::to_string(cache_lookups - cache_hits));
+    span.SetDetail("specs=" + std::to_string(specs.size()));
   }
-  // Workers install the batch span's child context so kernel spans opened
-  // on pool threads join this request's trace tree (DESIGN.md §14). When
-  // the batch is not being traced this is a cheap invalid context and the
-  // per-lane spans skip event emission entirely.
-  const telemetry::TraceContext lane_context = span.ChildContext();
-
-  // Pass 3 — group the kernel-eligible probes by column with a stable
-  // counting bucket (comparison sort is O(n log n) indirections through the
-  // plans array and degenerates exactly on the common one-hot-column batch).
-  // Every spec still writes only its own result slot, so pool size never
-  // changes the bits.
-  struct Segment {
-    size_t begin;
-    size_t end;
-  };
-  std::vector<uint32_t> column_counts;
-  auto bucket_by_column = [&](std::vector<size_t>& idx,
-                              std::vector<Segment>* segments) {
-    if (idx.empty()) return;
-    column_counts.assign(snapshot.num_columns(), 0);
-    for (size_t i : idx) ++column_counts[plans[i].column];
-    std::vector<size_t> offsets(snapshot.num_columns());
-    size_t running = 0;
-    for (size_t c = 0; c < column_counts.size(); ++c) {
-      offsets[c] = running;
-      if (column_counts[c] > 0) {
-        segments->push_back(Segment{running, running + column_counts[c]});
-      }
-      running += column_counts[c];
+  // Chunks install the batch span's child context so their spans, opened on
+  // pool threads, join this request's trace tree (DESIGN.md §14). When the
+  // batch is not being traced this is a cheap invalid context and the chunk
+  // spans skip event emission entirely.
+  const telemetry::TraceContext chunk_context = span.ChildContext();
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
+  // Each spec writes only its own result slot and chunk boundaries depend
+  // only on the batch size, so pool size never changes the bits.
+  p.ParallelFor(0, specs.size(), kSpecsPerTask, [&](size_t begin, size_t end) {
+    telemetry::TraceContextScope chunk_scope(chunk_context);
+    static telemetry::SpanSite& chunk_site =
+        telemetry::GetSpanSite("Serving.EstimateChunk");
+    telemetry::TraceSpan chunk_span(chunk_site);
+    if (chunk_span.emitting()) {
+      chunk_span.SetDetail("specs=" + std::to_string(end - begin));
     }
-    std::vector<size_t> bucketed(idx.size());
-    for (size_t i : idx) bucketed[offsets[plans[i].column]++] = i;
-    idx.swap(bucketed);
-  };
-  std::vector<Segment> point_segments, range_segments;
-  bucket_by_column(point_idx, &point_segments);
-  bucket_by_column(range_idx, &range_segments);
-
-  // Pass 4 — execute. Same-column probes run through the multi-probe
-  // Eytzinger kernel; everything else goes through EstimateOne. Each lane
-  // finishes with arithmetic operation-for-operation identical to the
-  // scalar path, then publishes exactly-keyed results to the memo.
-  if (!misc_idx.empty()) {
-    const size_t grain = std::max<size_t>(
-        1, misc_idx.size() / (8 * std::max<size_t>(1, p.num_threads())));
-    p.ParallelFor(0, misc_idx.size(), grain, [&](size_t begin, size_t end) {
-      telemetry::TraceContextScope lane_scope(lane_context);
-      static telemetry::SpanSite& misc_site =
-          telemetry::GetSpanSite("Serving.MiscLane");
-      telemetry::TraceSpan lane_span(misc_site);
-      if (lane_span.emitting()) {
-        lane_span.SetDetail("specs=" + std::to_string(end - begin));
-      }
-      for (size_t j = begin; j < end; ++j) {
-        const size_t i = misc_idx[j];
-        results[i] = EstimateOne(snapshot, specs[i]);
-        if (plans[i].cacheable && results[i].ok()) {
-          cache.Insert(PlanCacheKey(plans[i]), *results[i]);
-        }
-      }
-    });
-  }
-  auto run_point_segment = [&](const Segment& segment) {
-    const ColumnId column = plans[point_idx[segment.begin]].column;
-    const CompiledColumnStats& stats = snapshot.stats(column);
-    const CompiledHistogram& h = *stats.histogram;
-    const size_t count = segment.end - segment.begin;
-    std::vector<int64_t> needles(count);
-    std::vector<size_t> found(count);
-    for (size_t j = 0; j < count; ++j) {
-      needles[j] = plans[point_idx[segment.begin + j]].a;
+    for (size_t i = begin; i < end; ++i) {
+      results[i] = EstimateOne(snapshot, specs[i]);
     }
-    internal::MultiProbeLowerBounds(h, needles, found.data());
-    const std::span<const int64_t> keys = h.keys();
-    const std::span<const double> freqs = h.frequencies();
-    for (size_t j = 0; j < count; ++j) {
-      const size_t look = j + kCacheLookahead;
-      if (look < count) {
-        const size_t look_at = found[look];
-        if (look_at < keys.size()) {
-          __builtin_prefetch(&keys[look_at]);
-          __builtin_prefetch(&freqs[look_at]);
-        }
-        cache.Prefetch(PlanCacheKey(plans[point_idx[segment.begin + look]]));
-      }
-      const size_t i = point_idx[segment.begin + j];
-      const size_t at = found[j];
-      // Same association as LookupFrequency + EstimateNotEqualsSelection.
-      const double eq = (at < keys.size() && keys[at] == needles[j])
-                            ? freqs[at]
-                            : h.default_frequency();
-      const double value =
-          plans[i].negate ? std::max(0.0, stats.num_tuples - eq) : eq;
-      results[i] = value;
-      cache.Insert(PlanCacheKey(plans[i]), value);
-    }
-  };
-  auto run_range_segment = [&](const Segment& segment) {
-    const ColumnId column = plans[range_idx[segment.begin]].column;
-    const CompiledColumnStats& stats = snapshot.stats(column);
-    const CompiledHistogram& h = *stats.histogram;
-    const size_t count = segment.end - segment.begin;
-    std::vector<int64_t> lo_needles(count), hi_needles(count);
-    std::vector<size_t> lower(count), upper(count);
-    for (size_t j = 0; j < count; ++j) {
-      const SpecPlan& plan = plans[range_idx[segment.begin + j]];
-      lo_needles[j] = plan.a;
-      hi_needles[j] = plan.b;
-    }
-    internal::MultiProbeLowerBounds(h, lo_needles, lower.data());
-    internal::MultiProbeUpperBounds(h, hi_needles, upper.data());
-    const std::span<const double> freqs = h.frequencies();
-    const std::span<const double> prefix = h.prefix_sums();
-    for (size_t j = 0; j < count; ++j) {
-      const size_t look = j + kCacheLookahead;
-      if (look < count) {
-        __builtin_prefetch(&prefix[lower[look]]);
-        __builtin_prefetch(&prefix[upper[look]]);
-        cache.Prefetch(PlanCacheKey(plans[range_idx[segment.begin + look]]));
-      }
-      const size_t i = range_idx[segment.begin + j];
-      const SpecPlan& plan = plans[i];
-      // Mirrors EstimateRangeSelection after normalization (which pass 1
-      // already applied): ExplicitRange's clamp, then the exact-prefix or
-      // Kahan-subrange accumulation, then the shared FinishRangeEstimate.
-      const size_t begin = lower[j];
-      const size_t end = upper[j] < begin ? begin : upper[j];
-      KahanSum total;
-      if (h.prefix_exact()) {
-        if (end > begin) total.Add(h.ExplicitMass(begin, end));
-      } else {
-        for (size_t at = begin; at < end; ++at) total.Add(freqs[at]);
-      }
-      const double value = internal::FinishRangeEstimate(
-          stats.num_tuples, stats.min_value, stats.max_value,
-          h.default_frequency(), h.num_default_values(), plan.a, plan.b,
-          static_cast<int64_t>(end - begin), total, h.refinement());
-      results[i] = value;
-      cache.Insert(PlanCacheKey(plan), value);
-    }
-  };
-  if (!point_segments.empty()) {
-    p.ParallelFor(0, point_segments.size(), 1, [&](size_t begin, size_t end) {
-      telemetry::TraceContextScope lane_scope(lane_context);
-      static telemetry::SpanSite& point_site =
-          telemetry::GetSpanSite("Serving.PointKernel");
-      telemetry::TraceSpan lane_span(point_site);
-      if (lane_span.emitting()) {
-        size_t probes = 0;
-        for (size_t s = begin; s < end; ++s) {
-          probes += point_segments[s].end - point_segments[s].begin;
-        }
-        lane_span.SetDetail("segments=" + std::to_string(end - begin) +
-                            " probes=" + std::to_string(probes));
-      }
-      for (size_t s = begin; s < end; ++s) run_point_segment(point_segments[s]);
-    });
-  }
-  if (!range_segments.empty()) {
-    p.ParallelFor(0, range_segments.size(), 1, [&](size_t begin, size_t end) {
-      telemetry::TraceContextScope lane_scope(lane_context);
-      static telemetry::SpanSite& range_site =
-          telemetry::GetSpanSite("Serving.RangeKernel");
-      telemetry::TraceSpan lane_span(range_site);
-      if (lane_span.emitting()) {
-        size_t probes = 0;
-        for (size_t s = begin; s < end; ++s) {
-          probes += range_segments[s].end - range_segments[s].begin;
-        }
-        lane_span.SetDetail("segments=" + std::to_string(end - begin) +
-                            " probes=" + std::to_string(probes));
-      }
-      for (size_t s = begin; s < end; ++s) run_range_segment(range_segments[s]);
-    });
-  }
-
-  // Pass 5 — fan deduped chain results out to their aliases.
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (plans[i].cls == LaneClass::kChainAlias) {
-      results[i] = results[static_cast<size_t>(plans[i].a)];
-    }
-  }
+  });
   return results;
 }
 

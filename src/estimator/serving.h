@@ -88,44 +88,18 @@ struct EstimateSpec {
   static EstimateSpec Chain(std::vector<SnapshotChainStep> steps);
 };
 
-namespace internal {
-
-/// Multi-probe Eytzinger search kernels — the heart of the §12 batched fast
-/// lane. Compute out[i] = h.LowerBound(needles[i]) (resp. UpperBound) by
-/// walking kProbeLanes interleaved fixed-depth Eytzinger descents per loop
-/// iteration with a per-level prefetch, so independent probes hide each
-/// other's cache misses (one lone branchy search per probe cannot: its
-/// loads are a serialized dependency chain). Bit-identical indices by
-/// construction; exposed for tests and bench_estimation's
-/// eytzinger_vs_lower_bound sweep.
-void MultiProbeLowerBounds(const CompiledHistogram& histogram,
-                           std::span<const int64_t> needles, size_t* out);
-void MultiProbeUpperBounds(const CompiledHistogram& histogram,
-                           std::span<const int64_t> needles, size_t* out);
-
-}  // namespace internal
-
 /// \brief Runs one spec against \p snapshot. InvalidArgument on ids outside
-/// the snapshot or malformed specs. Always computes from the compiled
-/// statistics — the memoized fast lane (snapshot.estimate_cache()) is
-/// consulted only by EstimateBatch, keeping this the uncached reference.
+/// the snapshot or malformed specs.
 Result<double> EstimateOne(const CatalogSnapshot& snapshot,
                            const EstimateSpec& spec);
 
-/// \brief Batched estimation: runs every spec against the (immutable)
-/// snapshot, fanning independent estimates across \p pool (nullptr = the
-/// global pool). Results align with specs; per-spec failures do not abort
-/// the batch. Bit-identical to a serial EstimateOne loop at any pool size
-/// (each index is computed independently — the thread pool's determinism
-/// contract, DESIGN.md §6).
-///
-/// This is the batched probe fast lane (DESIGN.md §12): point and range
-/// specs are grouped by column and routed through the interleaved Eytzinger
-/// multi-probe kernel; exactly-keyable specs are memoized in the snapshot's
-/// EstimateCache (hits return the exact bits the miss path computed, so the
-/// determinism contract is unaffected); identical chain specs within one
-/// batch are estimated once. Telemetry: hops_estimate_cache_{hits,misses}_
-/// total, aggregated per batch.
+/// \brief Batched estimation: EstimateOne for every spec against the
+/// (immutable) snapshot. Specs are cut into fixed chunks of 64; a batch that
+/// fits one chunk runs inline on the calling thread, larger ones fan the
+/// chunks across \p pool (nullptr = the global pool). Results align with
+/// specs; per-spec failures do not abort the batch. Bit-identical to a
+/// serial EstimateOne loop at any pool size (each index is computed
+/// independently — the thread pool's determinism contract, DESIGN.md §6).
 std::vector<Result<double>> EstimateBatch(const CatalogSnapshot& snapshot,
                                           std::span<const EstimateSpec> specs,
                                           ThreadPool* pool = nullptr);

@@ -1,9 +1,7 @@
 #include "histogram/compiled.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <limits>
 
 #include "histogram/serialization.h"
 #include "util/math.h"
@@ -45,71 +43,7 @@ CompiledHistogram CompiledHistogram::Compile(const CatalogHistogram& histogram) 
   out.default_frequency_ = histogram.default_frequency();
   out.num_default_values_ = histogram.num_default_values();
   out.refinement_ = histogram.refinement();
-  out.BuildEytzinger();
   return out;
-}
-
-void CompiledHistogram::BuildEytzinger() {
-  const size_t n = keys_.size();
-  if (n == 0) {
-    eytz_depth_ = 0;
-    return;
-  }
-  // Smallest complete tree holding n keys: depth d, 2^d - 1 nodes. Pad the
-  // tail with INT64_MAX sentinels so every search runs exactly d iterations.
-  // The pads sort after (or tie with) every real key, so a padded
-  // lower/upper bound never lands strictly past index n — the sentinel rank
-  // is clamped to n, which is exactly std::lower_bound's past-the-end
-  // answer. (A real INT64_MAX key is fine too: lower_bound ties resolve to
-  // the first of the equal run, which is the real key's rank.)
-  uint32_t depth = 1;
-  while (((size_t{1} << depth) - 1) < n) ++depth;
-  const size_t nodes = (size_t{1} << depth) - 1;
-  eytz_depth_ = depth;
-  eytz_keys_.assign(nodes + 1, 0);
-  eytz_ranks_.assign(nodes + 1, 0);
-  // In-order walk of the complete tree enumerates sorted positions 0..nodes-1.
-  // Iterative Morris-style traversal is overkill; the tree is at most 2^32
-  // nodes but the recursion depth is only `depth` (<= 33), so plain
-  // recursion via an explicit lambda is safe and clear.
-  size_t next_sorted = 0;
-  auto fill = [&](auto&& self, size_t node) -> void {
-    if (node > nodes) return;
-    self(self, 2 * node);
-    const size_t rank = next_sorted++;
-    eytz_keys_[node] =
-        rank < n ? keys_[rank] : std::numeric_limits<int64_t>::max();
-    eytz_ranks_[node] = static_cast<uint32_t>(rank < n ? rank : n);
-    self(self, 2 * node + 1);
-  };
-  fill(fill, 1);
-}
-
-size_t CompiledHistogram::EytzingerLowerBound(int64_t value) const {
-  if (eytz_depth_ == 0) return 0;
-  const int64_t* e = eytz_keys_.data();
-  size_t k = 1;
-  for (uint32_t level = 0; level < eytz_depth_; ++level) {
-    k = 2 * k + static_cast<size_t>(e[k] < value);
-  }
-  // After d fixed steps k encodes the full descent path in its low bits
-  // (1 = went right). The answer is the node where the search last went
-  // left; shifting off the trailing right-moves plus that final left-move
-  // recovers it (Khuong & Morin, "Array layouts for comparison-based
-  // searching"). All-right descents shift to zero: every key < value.
-  k >>= std::countr_one(k) + 1;
-  return k == 0 ? keys_.size() : static_cast<size_t>(eytz_ranks_[k]);
-}
-
-size_t CompiledHistogram::EytzingerUpperBound(int64_t value) const {
-  if (eytz_depth_ == 0) return 0;
-  const int64_t* e = eytz_keys_.data();
-  size_t k = 1;
-  for (uint32_t level = 0; level < eytz_depth_; ++level) {
-    k = 2 * k + static_cast<size_t>(e[k] <= value);
-  }
-  k >>= std::countr_one(k) + 1;
-  return k == 0 ? keys_.size() : static_cast<size_t>(eytz_ranks_[k]);
 }
 
 size_t CompiledHistogram::LowerBound(int64_t value) const {
@@ -125,13 +59,10 @@ size_t CompiledHistogram::LowerBound(int64_t value) const {
   // key stride touches half the cache lines of the legacy
   // std::lower_bound over 16-byte (value, frequency) pairs — which is what
   // makes the compiled path strictly faster than the decoded one on
-  // point lookups (bench_estimation's point_heavy workload).
-  //
-  // The serialized-load problem *is* worth solving when many probes are in
-  // flight at once: the batched multi-probe kernel (serving.cc, DESIGN.md
-  // §12) runs K Eytzinger searches in lockstep so each lane's memory
-  // latency hides behind the other lanes' work. That only pays off with a
-  // batch; a lone probe stays on this branchy loop.
+  // point lookups (bench_estimation's point_heavy workload). An
+  // interleaved multi-probe search over an Eytzinger copy of the keys was
+  // also tried for batches and deleted (DESIGN.md §12): request-sized
+  // batches rarely carry enough same-column probes to fill its lanes.
   return static_cast<size_t>(
       std::lower_bound(keys_.begin(), keys_.end(), value) - keys_.begin());
 }

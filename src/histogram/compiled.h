@@ -14,12 +14,7 @@
 //    searches plus a prefix difference — O(log n) instead of the O(n) scan
 //    the naive path performs. This is the paper-adjacent trick of Buccafurri
 //    et al.'s tree-like bucket indices, collapsed to one level because the
-//    explicit+default catalog form is already flat;
-//  * an Eytzinger (BFS) permutation of the keys, padded to a complete tree,
-//    so the batched multi-probe kernel (DESIGN.md §12) can run many
-//    fixed-depth branchless searches in lockstep and hide their cache
-//    misses behind each other. The sorted SoA stays the source of truth;
-//    Eytzinger searches return the same sorted index via a rank table.
+//    explicit+default catalog form is already flat.
 //
 // Determinism contract (the serving layer must be *bit-identical* to the
 // naive linear-scan estimator):
@@ -73,28 +68,6 @@ class CompiledHistogram {
   /// First index whose key is > \p value.
   size_t UpperBound(int64_t value) const;
 
-  /// LowerBound/UpperBound computed over the Eytzinger layout. Bit-identical
-  /// results (same sorted index) by construction; used by the batched
-  /// multi-probe kernel in src/estimator/serving.cc, which interleaves many
-  /// of these searches to overlap their cache misses. A lone probe should
-  /// keep using LowerBound (see the comment there for why).
-  size_t EytzingerLowerBound(int64_t value) const;
-  size_t EytzingerUpperBound(int64_t value) const;
-
-  /// Eytzinger (BFS) copy of keys(): node i's children are 2i and 2i+1,
-  /// 1-based (index 0 is an unused sentinel). The sorted keys are padded to
-  /// a complete tree of 2^eytzinger_depth() - 1 nodes with INT64_MAX
-  /// sentinels, so every search runs exactly eytzinger_depth() branchless
-  /// iterations. Empty when the histogram has no explicit entries.
-  std::span<const int64_t> eytzinger_keys() const { return eytz_keys_; }
-
-  /// eytzinger_ranks()[i] is the sorted index of eytzinger_keys()[i]
-  /// (pad nodes map to num_explicit()); aligned with eytzinger_keys().
-  std::span<const uint32_t> eytzinger_ranks() const { return eytz_ranks_; }
-
-  /// Number of levels in the complete Eytzinger tree (0 when empty).
-  uint32_t eytzinger_depth() const { return eytz_depth_; }
-
   /// Index range [begin, end) of explicit keys inside the *closed* interval
   /// [lo, hi]; empty when lo > hi.
   std::pair<size_t, size_t> ExplicitRange(int64_t lo, int64_t hi) const;
@@ -134,16 +107,9 @@ class CompiledHistogram {
   const BucketRefinementTree* refinement() const { return refinement_.get(); }
 
  private:
-  void BuildEytzinger();
-
   std::vector<int64_t> keys_;   // sorted
   std::vector<double> freqs_;   // aligned with keys_
   std::vector<double> prefix_;  // size keys_.size() + 1; prefix_[0] == 0
-  // BFS permutation of keys_ padded to a complete tree (see
-  // eytzinger_keys()); eytz_keys_[0] is unused so children sit at 2i/2i+1.
-  std::vector<int64_t> eytz_keys_;
-  std::vector<uint32_t> eytz_ranks_;  // eytzinger node -> sorted index
-  uint32_t eytz_depth_ = 0;
   double default_frequency_ = 0.0;
   uint64_t num_default_values_ = 0;
   bool prefix_exact_ = false;

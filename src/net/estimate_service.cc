@@ -457,24 +457,6 @@ HttpResponse EstimateService::HandleColumns() const {
 HttpResponse EstimateService::HandleSnapshots() const {
   const std::shared_ptr<const CatalogSnapshot> snapshot =
       options_.store->Current();
-  // The estimate-cache counters live in the process-wide registry (the
-  // serving layer's EstimateBatch records there unconditionally); reading
-  // them through GetCounter with the exact name+help either finds the live
-  // counters or creates zeroed ones — same answer either way.
-  telemetry::MetricRegistry& global = telemetry::MetricRegistry::Global();
-  const uint64_t hits =
-      global
-          .GetCounter(
-              "hops_estimate_cache_hits_total",
-              "EstimateBatch specs served from the snapshot estimate cache.")
-          ->Value();
-  const uint64_t misses =
-      global
-          .GetCounter(
-              "hops_estimate_cache_misses_total",
-              "EstimateBatch cache lookups that fell through to computation.")
-          ->Value();
-
   JsonWriter writer;
   writer.BeginObject();
   writer.Key("snapshot_version");
@@ -490,20 +472,6 @@ HttpResponse EstimateService::HandleSnapshots() const {
   } else {
     writer.Double(age);
   }
-  writer.Key("estimate_cache");
-  writer.BeginObject();
-  writer.Key("capacity");
-  writer.UInt(snapshot->estimate_cache().capacity());
-  writer.Key("hits");
-  writer.UInt(hits);
-  writer.Key("misses");
-  writer.UInt(misses);
-  writer.Key("hit_rate");
-  writer.Double(hits + misses > 0
-                    ? static_cast<double>(hits) /
-                          static_cast<double>(hits + misses)
-                    : 0.0);
-  writer.EndObject();
   writer.EndObject();
   return JsonResponse(200, writer);
 }

@@ -22,8 +22,8 @@
 //                       counts, staleness score (refresh advisor), q-error
 //                       quantiles (AccuracyTracker) — the "which column is
 //                       lying to the optimizer" drill-down.
-//   GET  /debug/snapshots  Snapshot version, age, publish count, estimate
-//                       cache occupancy and hit/miss totals.
+//   GET  /debug/snapshots  Snapshot version, column count, publish count
+//                       and age.
 //   GET  /debug/wal     Durable-storage state via the storage_debug
 //                       provider: durability mode, LSN high-water mark,
 //                       segment and fsync counts. {"attached":false} when

@@ -1,4 +1,4 @@
-// Binary wire framing for POST /estimate (DESIGN.md §12).
+// Binary wire framing for POST /estimate (DESIGN.md §11).
 //
 // The JSON estimate endpoint spends most of a small batch's budget on
 // parsing and number formatting. Optimizer clients that hammer /estimate

@@ -16,8 +16,8 @@
 //     bit-identical to the pre-restart ones.
 //   * recomputed on restore — the IdealColumnMoments (from the histogram
 //     and the ideal set; equal up to floating-point re-association, which
-//     only staleness *scoring* observes) and every compiled/Eytzinger
-//     read view (deterministic functions of the persisted histogram).
+//     only staleness *scoring* observes) and every compiled read view
+//     (deterministic functions of the persisted histogram).
 
 #pragma once
 

@@ -21,7 +21,7 @@
 // kExplicitValues/kExplicitFreqs and kIdealValues/kIdealCounts arrays, and
 // kNames holds the length-prefixed table/column strings. Fixed offsets and
 // raw packed arrays make the payload mmap-friendly; the read path here
-// simply loads and validates. Read views (prefix sums, Eytzinger layouts)
+// simply loads and validates. Read views (sorted key arrays, prefix sums)
 // are deliberately NOT persisted — they are deterministic functions of the
 // histogram, rebuilt on load (histogram/compiled.h).
 //

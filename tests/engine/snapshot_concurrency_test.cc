@@ -108,8 +108,10 @@ TEST(SnapshotConcurrencyTest, ConcurrentBatchesShareOneSnapshot) {
   std::shared_ptr<const CatalogSnapshot> snap = store.Current();
   const ColumnId id = *snap->Resolve("t", "a");
 
+  // More specs than one 64-spec chunk, so each batch fans several chunks
+  // out to the pool and the two batches' chunks race under TSan.
   std::vector<EstimateSpec> specs;
-  for (int64_t v = 0; v < 64; ++v) {
+  for (int64_t v = 0; v < 257; ++v) {
     specs.push_back(EstimateSpec::Equality(id, Value(v % 14)));
   }
   // Two concurrent batches over the same immutable snapshot while a writer
@@ -136,70 +138,6 @@ TEST(SnapshotConcurrencyTest, ConcurrentBatchesShareOneSnapshot) {
     ASSERT_TRUE(batch2[i].ok());
     EXPECT_EQ(*batch1[i], *batch2[i]);
     EXPECT_EQ(*batch1[i], 8.0);  // generation 7 -> frequency 8 everywhere
-  }
-}
-
-TEST(SnapshotConcurrencyTest, CacheHitsStayExactDuringRepublish) {
-  // The §12 estimate cache under contention: several threads run the same
-  // batch against one shared snapshot, so every slot sees racing CAS claims,
-  // pending tags, and concurrent hits, while a writer keeps republishing
-  // (retiring other snapshots — invalidation is RCU retirement, so this
-  // must never touch the cache the readers hold). Every result from every
-  // thread and round must carry the exact bits of the uncached EstimateOne
-  // reference.
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 25;
-
-  Catalog catalog;
-  catalog.PutColumnStatistics("t", "a", GenerationStats(3)).Check();
-  catalog.PutColumnStatistics("t", "b", GenerationStats(3)).Check();
-  SnapshotStore store;
-  ASSERT_TRUE(store.RepublishFrom(catalog).ok());
-  std::shared_ptr<const CatalogSnapshot> snap = store.Current();
-  ASSERT_GT(snap->estimate_cache().capacity(), 0u);
-  const ColumnId a = *snap->Resolve("t", "a");
-  const ColumnId b = *snap->Resolve("t", "b");
-
-  std::vector<EstimateSpec> specs;
-  for (int64_t v = -4; v < 20; ++v) {
-    specs.push_back(EstimateSpec::Equality(a, Value(v)));
-    specs.push_back(EstimateSpec::NotEquals(b, Value(v)));
-    specs.push_back(EstimateSpec::Range(b, RangeBounds{v, v + 5, true, false}));
-  }
-  specs.push_back(EstimateSpec::Join(a, b));
-
-  std::vector<double> reference(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    reference[i] = *EstimateOne(*snap, specs[i]);
-  }
-
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int round = 0; round < kRounds; ++round) {
-        const std::vector<Result<double>> got = EstimateBatch(*snap, specs);
-        for (size_t i = 0; i < specs.size(); ++i) {
-          if (!got[i].ok() || *got[i] != reference[i]) failed = true;
-        }
-      }
-    });
-  }
-  std::thread writer([&] {
-    for (uint64_t g = 0; g < 40; ++g) {
-      catalog.PutColumnStatistics("t", "a", GenerationStats(g)).Check();
-      store.RepublishFrom(catalog).status().Check();
-    }
-  });
-  for (std::thread& t : threads) t.join();
-  writer.join();
-
-  EXPECT_FALSE(failed.load());
-  // The shared snapshot (and its cache) survived the republishes untouched.
-  const std::vector<Result<double>> after = EstimateBatch(*snap, specs);
-  for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(*after[i], reference[i]) << i;
   }
 }
 

@@ -1,13 +1,16 @@
 // Serving-path estimators: every compiled function must be bit-identical to
 // its Catalog/ColumnStatistics counterpart, and EstimateOne/EstimateBatch
-// must validate ids and preserve spec order.
+// must validate ids and preserve spec order. EstimateBatch must reproduce a
+// serial EstimateOne loop bit for bit on both sides of its chunk boundary.
 
 #include "estimator/serving.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "engine/catalog.h"
@@ -16,6 +19,7 @@
 #include "estimator/join_estimator.h"
 #include "estimator/predicate_estimator.h"
 #include "estimator/selectivity.h"
+#include "util/random.h"
 
 namespace hops {
 namespace {
@@ -203,6 +207,125 @@ TEST(ServingTest, EstimateBatchEmptyAndExplicitPool) {
   for (const auto& r : results) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(*r, 30.0);
+  }
+}
+
+// A column with a few hundred keys and uneven gaps between them.
+ColumnStatistics BigColumn(size_t n, uint64_t salt) {
+  std::vector<std::pair<int64_t, double>> entries;
+  entries.reserve(n);
+  int64_t key = -50;
+  double total = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double f = static_cast<double>(1 + (i * 13 + salt) % 17);
+    entries.emplace_back(key, f);
+    total += f;
+    key += 1 + static_cast<int64_t>((i * 3 + salt) % 7);
+  }
+  ColumnStatistics stats;
+  stats.num_tuples = total + 2.0 * 25.0;
+  stats.num_distinct = n + 25;
+  stats.min_value = -50;
+  stats.max_value = key + 10;
+  stats.histogram = *CatalogHistogram::Make(std::move(entries), 2.0, 25);
+  return stats;
+}
+
+struct MixedFixture {
+  Catalog catalog;
+  std::shared_ptr<const CatalogSnapshot> snapshot;
+  ColumnId big = 0, frac = 0, small = 0;
+
+  MixedFixture() {
+    catalog.PutColumnStatistics("T", "big", BigColumn(300, 5)).Check();
+    // Fractional frequencies: the Kahan (non-exact-prefix) range path.
+    catalog
+        .PutColumnStatistics(
+            "T", "frac",
+            MakeStats(90.0, {{3, 40.5}, {5, 10.25}, {9, 1.5}}, 3.125, 12, 0,
+                      15))
+        .Check();
+    catalog
+        .PutColumnStatistics(
+            "T", "small", MakeStats(50.0, {{1, 10.0}, {4, 20.0}}, 4.0, 5, 0, 9))
+        .Check();
+    snapshot = *CatalogSnapshot::Compile(catalog);
+    big = *snapshot->Resolve("T", "big");
+    frac = *snapshot->Resolve("T", "frac");
+    small = *snapshot->Resolve("T", "small");
+  }
+};
+
+// Every spec kind and edge case, shuffled with a fixed seed so each kind
+// lands on both sides of the 64-spec chunk boundary.
+std::vector<EstimateSpec> MixedSpecs(const MixedFixture& f) {
+  std::vector<EstimateSpec> specs;
+  // Point probes: hits, misses, and the not-equals complement.
+  for (int64_t v = -60; v <= 60; v += 3) {
+    specs.push_back(EstimateSpec::Equality(f.big, Value(v)));
+    specs.push_back(EstimateSpec::NotEquals(f.big, Value(v + 1)));
+    specs.push_back(EstimateSpec::Equality(f.frac, Value(v % 16)));
+  }
+  // A string literal routes through the hashed catalog key.
+  specs.push_back(EstimateSpec::Equality(f.small, Value(std::string("x"))));
+  // Ranges: inclusive/exclusive mixes, inverted (empty), single point, and
+  // the fractional column's Kahan path.
+  for (int mask = 0; mask < 4; ++mask) {
+    specs.push_back(EstimateSpec::Range(
+        f.big, RangeBounds{-10, 200, (mask & 1) != 0, (mask & 2) != 0}));
+    specs.push_back(EstimateSpec::Range(
+        f.frac, RangeBounds{2, 9, (mask & 1) != 0, (mask & 2) != 0}));
+  }
+  specs.push_back(EstimateSpec::Range(f.big, RangeBounds{50, 40, true, true}));
+  specs.push_back(EstimateSpec::Range(f.big, RangeBounds{7, 7, true, true}));
+  // IN-lists, joins, and duplicate chains.
+  specs.push_back(EstimateSpec::In(
+      f.big, {Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{1})}));
+  specs.push_back(EstimateSpec::Join(f.big, f.frac));
+  specs.push_back(EstimateSpec::Chain(
+      {SnapshotChainStep{f.big, f.frac}, SnapshotChainStep{f.frac, f.small}}));
+  specs.push_back(EstimateSpec::Chain(
+      {SnapshotChainStep{f.big, f.frac}, SnapshotChainStep{f.frac, f.small}}));
+  // Failures keep their slots: an id outside the snapshot.
+  specs.push_back(EstimateSpec::Equality(ColumnId{999}, Value(int64_t{1})));
+  specs.push_back(EstimateSpec::Range(ColumnId{999},
+                                      RangeBounds{0, 1, true, true}));
+  Rng rng(0x5eed);
+  rng.Shuffle(&specs);
+  return specs;
+}
+
+TEST(ServingTest, BatchIsBitIdenticalToSerialLoopAcrossChunks) {
+  MixedFixture f;
+  const std::vector<EstimateSpec> mixed = MixedSpecs(f);
+  ThreadPool serial_pool(1);
+  ThreadPool pool(3);
+  // 63/64/65 straddle the 64-spec chunk boundary; 300 spans several chunks
+  // and repeats every mixed spec at least twice.
+  for (size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{300}}) {
+    std::vector<EstimateSpec> specs;
+    for (size_t i = 0; i < n; ++i) specs.push_back(mixed[i % mixed.size()]);
+    for (ThreadPool* p : {&serial_pool, &pool}) {
+      SCOPED_TRACE("batch of " + std::to_string(n) + " on " +
+                   std::to_string(p->num_threads()) + " threads");
+      const std::vector<Result<double>> batched =
+          EstimateBatch(*f.snapshot, specs, p);
+      ASSERT_EQ(batched.size(), specs.size());
+      for (size_t i = 0; i < specs.size(); ++i) {
+        const Result<double> one = EstimateOne(*f.snapshot, specs[i]);
+        ASSERT_EQ(batched[i].ok(), one.ok()) << "spec " << i;
+        if (one.ok()) {
+          // Bit-identical, not just equal.
+          const double a = *batched[i];
+          const double b = *one;
+          EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0) << "spec " << i;
+        } else {
+          EXPECT_EQ(batched[i].status().code(), one.status().code())
+              << "spec " << i;
+        }
+      }
+    }
   }
 }
 

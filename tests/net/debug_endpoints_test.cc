@@ -165,8 +165,8 @@ class DebugEndpointsTest : public ::testing::Test {
 // The acceptance-criteria proof: a request carrying a W3C traceparent gets
 // that trace id echoed in x-hops-trace-id, and /debug/tracez afterwards
 // shows the complete span tree — Net.Request parented under the client's
-// span, the estimator batch under the request, the probe kernels (with
-// their cache detail) under the batch.
+// span, the estimator batch under the request, the batch's one estimate
+// chunk (a two-spec batch runs inline) under the batch.
 TEST_F(DebugEndpointsTest, TraceparentYieldsEchoAndACompleteSpanTree) {
   constexpr char kTraceId[] = "0123456789abcdef0123456789abcdef";
   constexpr char kClientSpan[] = "00f067aa0ba902b7";
@@ -220,24 +220,19 @@ TEST_F(DebugEndpointsTest, TraceparentYieldsEchoAndACompleteSpanTree) {
 
   ASSERT_TRUE(by_name.count("Net.Request")) << response_body;
   ASSERT_TRUE(by_name.count("Serving.EstimateBatch")) << response_body;
-  ASSERT_TRUE(by_name.count("Serving.PointKernel")) << response_body;
-  ASSERT_TRUE(by_name.count("Serving.RangeKernel")) << response_body;
+  ASSERT_TRUE(by_name.count("Serving.EstimateChunk")) << response_body;
 
-  // Parentage: client span → Net.Request → EstimateBatch → kernels.
+  // Parentage: client span → Net.Request → EstimateBatch → EstimateChunk.
   const Span& request = by_name["Net.Request"];
   const Span& batch = by_name["Serving.EstimateBatch"];
   EXPECT_EQ(request.parent, kClientSpan);
   EXPECT_EQ(batch.parent, request.span_id);
-  EXPECT_EQ(by_name["Serving.PointKernel"].parent, batch.span_id);
-  EXPECT_EQ(by_name["Serving.RangeKernel"].parent, batch.span_id);
+  const Span& chunk = by_name["Serving.EstimateChunk"];
+  EXPECT_EQ(chunk.parent, batch.span_id);
 
-  // The batch span carries the estimate-cache outcome for this request.
-  EXPECT_NE(batch.detail.find("specs=2"), std::string::npos) << batch.detail;
-  EXPECT_NE(batch.detail.find("cache_hits="), std::string::npos);
-  EXPECT_NE(batch.detail.find("cache_misses="), std::string::npos);
+  EXPECT_EQ(batch.detail, "specs=2");
+  EXPECT_EQ(chunk.detail, "specs=2");
   EXPECT_NE(by_name["Net.Request"].detail.find("bytes="), std::string::npos);
-  EXPECT_NE(by_name["Serving.PointKernel"].detail.find("probes="),
-            std::string::npos);
 }
 
 TEST_F(DebugEndpointsTest, UnsampledRequestsLeaveTheRingEmpty) {
@@ -447,14 +442,6 @@ TEST_F(DebugEndpointsTest, SnapshotsReportsPublishAndCacheState) {
   EXPECT_EQ(document->GetInt("columns").ValueOrDie(), 2);
   EXPECT_GE(document->GetInt("publish_count").ValueOrDie(), 2);
   EXPECT_GE(document->GetNumber("seconds_since_publish").ValueOrDie(), 0.0);
-  const JsonValue* cache = document->Find("estimate_cache");
-  ASSERT_NE(cache, nullptr);
-  EXPECT_GT(cache->GetInt("capacity").ValueOrDie(), 0);
-  EXPECT_GE(cache->GetInt("hits").ValueOrDie(), 0);
-  EXPECT_GE(cache->GetInt("misses").ValueOrDie(), 0);
-  const double hit_rate = cache->GetNumber("hit_rate").ValueOrDie();
-  EXPECT_GE(hit_rate, 0.0);
-  EXPECT_LE(hit_rate, 1.0);
 }
 
 // ------------------------------------------------------------------- wal

@@ -536,7 +536,7 @@ TEST_F(NetServerTest, ShutdownIsIdempotent) {
 
 // ------------------------------------------------- binary batch framing
 
-// The §12 binary fast lane: the same batch sent as application/x-hops-batch
+// The §11 binary framing: the same batch sent as application/x-hops-batch
 // must return raw doubles bit-identical to an in-process EstimateBatch on
 // the same snapshot — no 17-digit text round-trip involved.
 TEST_F(NetServerTest, EstimateBinaryIsBitIdenticalToInProcess) {

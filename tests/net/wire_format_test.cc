@@ -1,4 +1,4 @@
-// Codec tests for the §12 binary batch framing: encode→decode must be a
+// Codec tests for the §11 binary batch framing: encode→decode must be a
 // lossless round trip for every spec shape the frame supports, raw double
 // bits must survive the response path untouched, and every structural
 // violation the format doc enumerates (bad magic, wrong version, truncated
