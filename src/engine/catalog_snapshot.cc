@@ -9,6 +9,19 @@
 
 namespace hops {
 
+CompiledColumnStats CompileColumnStats(const ColumnStatistics& stats,
+                                       std::string table, std::string column) {
+  CompiledColumnStats compiled;
+  compiled.table = std::move(table);
+  compiled.column = std::move(column);
+  compiled.num_tuples = stats.num_tuples;
+  compiled.num_distinct = stats.num_distinct;
+  compiled.min_value = stats.min_value;
+  compiled.max_value = stats.max_value;
+  compiled.histogram = stats.histogram.compiled_shared();
+  return compiled;
+}
+
 Result<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Compile(
     const Catalog& catalog) {
   auto snapshot = std::make_shared<CatalogSnapshot>();
@@ -21,15 +34,7 @@ Result<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Compile(
   for (const auto& [table, column] : entries) {
     HOPS_ASSIGN_OR_RETURN(ColumnStatistics stats,
                           catalog.GetColumnStatistics(table, column));
-    CompiledColumnStats compiled;
-    compiled.table = table;
-    compiled.column = column;
-    compiled.num_tuples = stats.num_tuples;
-    compiled.num_distinct = stats.num_distinct;
-    compiled.min_value = stats.min_value;
-    compiled.max_value = stats.max_value;
-    compiled.histogram = stats.histogram.compiled_shared();
-    snapshot->columns_.push_back(std::move(compiled));
+    snapshot->columns_.push_back(CompileColumnStats(stats, table, column));
   }
   return std::shared_ptr<const CatalogSnapshot>(std::move(snapshot));
 }

@@ -50,6 +50,14 @@ struct CompiledColumnStats {
   std::shared_ptr<const CompiledHistogram> histogram;
 };
 
+/// \brief The compiled form of \p stats: its scalars, plus its histogram's
+/// cached compiled view (shared, so \p stats may mutate or die afterwards).
+/// The one ColumnStatistics -> CompiledColumnStats conversion: snapshots,
+/// the Catalog-side estimators and the tests all go through it.
+CompiledColumnStats CompileColumnStats(const ColumnStatistics& stats,
+                                       std::string table = {},
+                                       std::string column = {});
+
 /// \brief Immutable compiled copy of a Catalog. Safe for any number of
 /// concurrent readers; never mutated after Compile.
 class CatalogSnapshot {

@@ -1,12 +1,19 @@
 #include "estimator/join_estimator.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "estimator/selectivity.h"
 #include "estimator/serving.h"
 
 namespace hops {
 
-Result<ChainJoinEstimateDetail> ExplainChainJoinSize(
-    const Catalog& catalog, std::span<const ChainJoinSpec> specs) {
+namespace {
+
+// The one validation of a name-based chain, shared by the Catalog estimate
+// and ResolveChain so both reject exactly the same specs.
+Status CheckChainSpecs(std::span<const ChainJoinSpec> specs) {
   if (specs.size() < 2) {
     return Status::InvalidArgument("chain join needs at least two relations");
   }
@@ -15,42 +22,63 @@ Result<ChainJoinEstimateDetail> ExplainChainJoinSize(
     return Status::InvalidArgument(
         "first/last chain relations must not declare outer join columns");
   }
-  ChainJoinEstimateDetail detail;
-  double running = 0.0;
-  double prev_relation_size = 0.0;
   for (size_t i = 0; i + 1 < specs.size(); ++i) {
-    const std::string& left_col = specs[i].right_column;
-    const std::string& right_col = specs[i + 1].left_column;
-    if (left_col.empty() || right_col.empty()) {
+    if (specs[i].right_column.empty() || specs[i + 1].left_column.empty()) {
       return Status::InvalidArgument(
           "interior join columns must be non-empty (join " +
           std::to_string(i) + ")");
     }
-    HOPS_ASSIGN_OR_RETURN(
-        ColumnStatistics ls,
-        catalog.GetColumnStatistics(specs[i].table, left_col));
-    HOPS_ASSIGN_OR_RETURN(
-        ColumnStatistics rs,
-        catalog.GetColumnStatistics(specs[i + 1].table, right_col));
-    double pairwise = EstimateEquiJoinSize(ls, rs);
-    detail.pairwise_sizes.push_back(pairwise);
+  }
+  return Status::OK();
+}
+
+// The running-size fold of a chain estimate, a pure function of the
+// pairwise join sizes and the size of each join's right-hand relation.
+// Attribute independence: the intermediate result keeps the previous
+// relation's distribution on the next join attribute, scaled by how much of
+// that relation survived.
+ChainJoinEstimateDetail FoldChain(std::vector<double> pairwise_sizes,
+                                  std::span<const double> right_sizes) {
+  ChainJoinEstimateDetail detail;
+  detail.running_sizes.reserve(pairwise_sizes.size());
+  double running = 0.0;
+  double prev_relation_size = 0.0;
+  for (size_t i = 0; i < pairwise_sizes.size(); ++i) {
     if (i == 0) {
-      running = pairwise;
+      running = pairwise_sizes[i];
     } else {
-      // Attribute independence: the intermediate result keeps the previous
-      // relation's distribution on the next join attribute, scaled by how
-      // much of that relation survived.
       double scale =
           prev_relation_size > 0 ? running / prev_relation_size : 0.0;
-      running = pairwise * scale;
+      running = pairwise_sizes[i] * scale;
     }
-    // The next iteration scales by relation i+1's size (the right side of
-    // this join becomes the left side of the next one).
-    prev_relation_size = rs.num_tuples;
+    // The next join scales by this join's right-hand relation, which
+    // becomes its left side.
+    prev_relation_size = right_sizes[i];
     detail.running_sizes.push_back(running);
   }
+  detail.pairwise_sizes = std::move(pairwise_sizes);
   detail.final_size = running;
   return detail;
+}
+
+}  // namespace
+
+Result<ChainJoinEstimateDetail> ExplainChainJoinSize(
+    const Catalog& catalog, std::span<const ChainJoinSpec> specs) {
+  HOPS_RETURN_NOT_OK(CheckChainSpecs(specs));
+  std::vector<double> pairwise, right_sizes;
+  for (size_t i = 0; i + 1 < specs.size(); ++i) {
+    HOPS_ASSIGN_OR_RETURN(
+        ColumnStatistics ls,
+        catalog.GetColumnStatistics(specs[i].table, specs[i].right_column));
+    HOPS_ASSIGN_OR_RETURN(
+        ColumnStatistics rs,
+        catalog.GetColumnStatistics(specs[i + 1].table,
+                                    specs[i + 1].left_column));
+    pairwise.push_back(EstimateEquiJoinSize(ls, rs));
+    right_sizes.push_back(rs.num_tuples);
+  }
+  return FoldChain(std::move(pairwise), right_sizes);
 }
 
 Result<double> EstimateChainJoinSize(const Catalog& catalog,
@@ -62,29 +90,16 @@ Result<double> EstimateChainJoinSize(const Catalog& catalog,
 
 Result<std::vector<SnapshotChainStep>> ResolveChain(
     const CatalogSnapshot& snapshot, std::span<const ChainJoinSpec> specs) {
-  if (specs.size() < 2) {
-    return Status::InvalidArgument("chain join needs at least two relations");
-  }
-  if (!specs.front().left_column.empty() ||
-      !specs.back().right_column.empty()) {
-    return Status::InvalidArgument(
-        "first/last chain relations must not declare outer join columns");
-  }
+  HOPS_RETURN_NOT_OK(CheckChainSpecs(specs));
   std::vector<SnapshotChainStep> steps;
   steps.reserve(specs.size() - 1);
   for (size_t i = 0; i + 1 < specs.size(); ++i) {
-    const std::string& left_col = specs[i].right_column;
-    const std::string& right_col = specs[i + 1].left_column;
-    if (left_col.empty() || right_col.empty()) {
-      return Status::InvalidArgument(
-          "interior join columns must be non-empty (join " +
-          std::to_string(i) + ")");
-    }
     SnapshotChainStep step;
-    HOPS_ASSIGN_OR_RETURN(step.left,
-                          snapshot.Resolve(specs[i].table, left_col));
-    HOPS_ASSIGN_OR_RETURN(step.right,
-                          snapshot.Resolve(specs[i + 1].table, right_col));
+    HOPS_ASSIGN_OR_RETURN(
+        step.left, snapshot.Resolve(specs[i].table, specs[i].right_column));
+    HOPS_ASSIGN_OR_RETURN(
+        step.right,
+        snapshot.Resolve(specs[i + 1].table, specs[i + 1].left_column));
     steps.push_back(step);
   }
   return steps;
@@ -103,28 +118,15 @@ Result<ChainJoinEstimateDetail> ExplainChainJoinSize(
           "chain step references a column id outside the snapshot");
     }
   }
-  // Same arithmetic, double for double, as the Catalog overload above —
-  // only the statistics lookup changed (dense ids, compiled histograms).
-  ChainJoinEstimateDetail detail;
-  double running = 0.0;
-  double prev_relation_size = 0.0;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    const CompiledColumnStats& ls = snapshot.stats(steps[i].left);
-    const CompiledColumnStats& rs = snapshot.stats(steps[i].right);
-    double pairwise = EstimateEquiJoinSize(ls, rs);
-    detail.pairwise_sizes.push_back(pairwise);
-    if (i == 0) {
-      running = pairwise;
-    } else {
-      double scale =
-          prev_relation_size > 0 ? running / prev_relation_size : 0.0;
-      running = pairwise * scale;
-    }
-    prev_relation_size = rs.num_tuples;
-    detail.running_sizes.push_back(running);
+  std::vector<double> pairwise, right_sizes;
+  pairwise.reserve(steps.size());
+  right_sizes.reserve(steps.size());
+  for (const SnapshotChainStep& step : steps) {
+    const CompiledColumnStats& rs = snapshot.stats(step.right);
+    pairwise.push_back(EstimateEquiJoinSize(snapshot.stats(step.left), rs));
+    right_sizes.push_back(rs.num_tuples);
   }
-  detail.final_size = running;
-  return detail;
+  return FoldChain(std::move(pairwise), right_sizes);
 }
 
 Result<double> EstimateChainJoinSize(const CatalogSnapshot& snapshot,

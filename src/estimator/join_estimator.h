@@ -1,5 +1,13 @@
 // Chain-join size estimation from catalog statistics — the estimate a
 // System-R-style optimizer derives while costing access plans.
+//
+// The Catalog and snapshot overloads share one spec validation and one
+// running-size fold; they differ only in where the pairwise join sizes come
+// from. The Catalog overloads decode every histogram per call and take them
+// from the frozen merge oracle, EstimateEquiJoinSize(const ColumnStatistics&,
+// ...) in selectivity.h; the snapshot overloads take them from the compiled
+// kernel in serving.h. Agreement of the two is therefore a check of the
+// kernel against the oracle (tests/estimator/serving_test.cc).
 
 #pragma once
 
@@ -56,9 +64,9 @@ struct SnapshotChainStep {
 Result<std::vector<SnapshotChainStep>> ResolveChain(
     const CatalogSnapshot& snapshot, std::span<const ChainJoinSpec> specs);
 
-/// \brief Chain estimate over a compiled snapshot. Bit-identical to the
-/// Catalog overload on the same statistics — the serving layer changes the
-/// data layout, never the estimate.
+/// \brief Chain estimate over a compiled snapshot: the Catalog overload's
+/// fold over the compiled join kernel, so it matches the Catalog overload
+/// bit for bit on the same statistics.
 Result<ChainJoinEstimateDetail> ExplainChainJoinSize(
     const CatalogSnapshot& snapshot, std::span<const SnapshotChainStep> steps);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "engine/joint_statistics.h"
 #include "estimator/selectivity.h"
@@ -34,23 +36,6 @@ Result<RangeBounds> OrderedComparisonBounds(const Comparison& cmp) {
 }
 
 // Cardinality of a single comparison from its column statistics.
-Result<double> ComparisonCardinality(const ColumnStatistics& stats,
-                                     const Comparison& cmp) {
-  switch (cmp.op) {
-    case PredicateOp::kEqual:
-      return EstimateEqualitySelection(stats, cmp.literal);
-    case PredicateOp::kNotEqual:
-      return EstimateNotEqualsSelection(stats, cmp.literal);
-    case PredicateOp::kIn:
-      return EstimateDisjunctiveSelection(stats, cmp.in_list);
-    default:
-      break;
-  }
-  HOPS_ASSIGN_OR_RETURN(RangeBounds bounds, OrderedComparisonBounds(cmp));
-  return EstimateRangeSelection(stats, bounds);
-}
-
-// Compiled twin of the above — same dispatch, serving-layer estimators.
 Result<double> ComparisonCardinality(const CompiledColumnStats& stats,
                                      const Comparison& cmp) {
   switch (cmp.op) {
@@ -67,11 +52,13 @@ Result<double> ComparisonCardinality(const CompiledColumnStats& stats,
   return EstimateRangeSelection(stats, bounds);
 }
 
-}  // namespace
-
-Result<double> EstimatePredicateCardinality(const Catalog& catalog,
-                                            const std::string& table,
-                                            const Predicate& predicate) {
+// The one estimation body. \p lookup maps a column name of the predicate's
+// table to its compiled statistics (Result<const CompiledColumnStats*>; any
+// error means "no statistics"). The pointer need only stay valid until the
+// next lookup.
+template <typename Lookup>
+Result<double> PredicateCardinality(const Predicate& predicate,
+                                    Lookup&& lookup) {
   if (predicate.empty()) {
     return Status::InvalidArgument("empty predicate");
   }
@@ -94,26 +81,22 @@ Result<double> EstimatePredicateCardinality(const Catalog& catalog,
     if (consumed[i] || comparisons[i].op != PredicateOp::kEqual) continue;
     for (size_t j = i + 1; j < comparisons.size(); ++j) {
       if (consumed[j] || comparisons[j].op != PredicateOp::kEqual) continue;
-      auto joint = catalog.GetColumnStatistics(
-          table, JointStatisticsColumnKey(comparisons[i].column,
-                                          comparisons[j].column));
+      // Joint statistics for (a, b) may be stored as "a+b" or, with the
+      // roles swapped, as "b+a"; the probe order follows the stored order.
+      size_t first = i, second = j;
+      Result<const CompiledColumnStats*> joint = lookup(
+          JointStatisticsColumnKey(comparisons[i].column,
+                                   comparisons[j].column));
       if (!joint.ok()) {
-        joint = catalog.GetColumnStatistics(
-            table, JointStatisticsColumnKey(comparisons[j].column,
-                                            comparisons[i].column));
-        if (joint.ok()) {
-          // Stored with swapped roles: swap the probe order too.
-          if (relation_size < 0) relation_size = joint->num_tuples;
-          apply_factor(EstimateConjunctiveEquality(
-              *joint, comparisons[j].literal, comparisons[i].literal));
-          consumed[i] = consumed[j] = true;
-          break;
-        }
-        continue;
+        std::swap(first, second);
+        joint = lookup(JointStatisticsColumnKey(comparisons[j].column,
+                                                comparisons[i].column));
+        if (!joint.ok()) continue;
       }
-      if (relation_size < 0) relation_size = joint->num_tuples;
+      const CompiledColumnStats& js = **joint;
+      if (relation_size < 0) relation_size = js.num_tuples;
       apply_factor(EstimateConjunctiveEquality(
-          *joint, comparisons[i].literal, comparisons[j].literal));
+          js, comparisons[first].literal, comparisons[second].literal));
       consumed[i] = consumed[j] = true;
       break;
     }
@@ -122,83 +105,41 @@ Result<double> EstimatePredicateCardinality(const Catalog& catalog,
   // Second pass: the remaining comparisons, independently.
   for (size_t i = 0; i < comparisons.size(); ++i) {
     if (consumed[i]) continue;
-    HOPS_ASSIGN_OR_RETURN(
-        ColumnStatistics stats,
-        catalog.GetColumnStatistics(table, comparisons[i].column));
-    if (relation_size < 0) relation_size = stats.num_tuples;
+    HOPS_ASSIGN_OR_RETURN(const CompiledColumnStats* stats,
+                          lookup(comparisons[i].column));
+    if (relation_size < 0) relation_size = stats->num_tuples;
     HOPS_ASSIGN_OR_RETURN(double count,
-                          ComparisonCardinality(stats, comparisons[i]));
+                          ComparisonCardinality(*stats, comparisons[i]));
     apply_factor(count);
   }
   return std::max(0.0, cardinality);
 }
 
+}  // namespace
+
+Result<double> EstimatePredicateCardinality(const Catalog& catalog,
+                                            const std::string& table,
+                                            const Predicate& predicate) {
+  CompiledColumnStats decoded;
+  return PredicateCardinality(
+      predicate,
+      [&](const std::string& column) -> Result<const CompiledColumnStats*> {
+        HOPS_ASSIGN_OR_RETURN(ColumnStatistics stats,
+                              catalog.GetColumnStatistics(table, column));
+        decoded = CompileColumnStats(stats);
+        return &decoded;
+      });
+}
+
 Result<double> EstimatePredicateCardinality(const CatalogSnapshot& snapshot,
                                             const std::string& table,
                                             const Predicate& predicate) {
-  if (predicate.empty()) {
-    return Status::InvalidArgument("empty predicate");
-  }
-  const auto& comparisons = predicate.comparisons();
-  std::vector<bool> consumed(comparisons.size(), false);
-
-  double relation_size = -1.0;
-  double cardinality = -1.0;  // running estimate, starts at first factor
-  auto apply_factor = [&](double count) {
-    if (cardinality < 0) {
-      cardinality = count;
-    } else {
-      // Independence: multiply by the factor's selectivity.
-      cardinality *= relation_size > 0 ? count / relation_size : 0.0;
-    }
-  };
-
-  // First pass: equality pairs served by joint statistics. Pairing order
-  // matches the Catalog overload exactly so the factor association (and
-  // therefore the floating-point result) is identical.
-  for (size_t i = 0; i < comparisons.size(); ++i) {
-    if (consumed[i] || comparisons[i].op != PredicateOp::kEqual) continue;
-    for (size_t j = i + 1; j < comparisons.size(); ++j) {
-      if (consumed[j] || comparisons[j].op != PredicateOp::kEqual) continue;
-      auto joint = snapshot.Resolve(
-          table, JointStatisticsColumnKey(comparisons[i].column,
-                                          comparisons[j].column));
-      if (!joint.ok()) {
-        joint = snapshot.Resolve(
-            table, JointStatisticsColumnKey(comparisons[j].column,
-                                            comparisons[i].column));
-        if (joint.ok()) {
-          // Stored with swapped roles: swap the probe order too.
-          const CompiledColumnStats& js = snapshot.stats(*joint);
-          if (relation_size < 0) relation_size = js.num_tuples;
-          apply_factor(EstimateConjunctiveEquality(
-              js, comparisons[j].literal, comparisons[i].literal));
-          consumed[i] = consumed[j] = true;
-          break;
-        }
-        continue;
-      }
-      const CompiledColumnStats& js = snapshot.stats(*joint);
-      if (relation_size < 0) relation_size = js.num_tuples;
-      apply_factor(EstimateConjunctiveEquality(
-          js, comparisons[i].literal, comparisons[j].literal));
-      consumed[i] = consumed[j] = true;
-      break;
-    }
-  }
-
-  // Second pass: the remaining comparisons, independently.
-  for (size_t i = 0; i < comparisons.size(); ++i) {
-    if (consumed[i]) continue;
-    HOPS_ASSIGN_OR_RETURN(ColumnId id,
-                          snapshot.Resolve(table, comparisons[i].column));
-    const CompiledColumnStats& stats = snapshot.stats(id);
-    if (relation_size < 0) relation_size = stats.num_tuples;
-    HOPS_ASSIGN_OR_RETURN(double count,
-                          ComparisonCardinality(stats, comparisons[i]));
-    apply_factor(count);
-  }
-  return std::max(0.0, cardinality);
+  return PredicateCardinality(
+      predicate,
+      [&](const std::string& column) -> Result<const CompiledColumnStats*> {
+        HOPS_ASSIGN_OR_RETURN(ColumnId id, snapshot.Resolve(table, column));
+        return &snapshot.stats(id);
+      });
 }
 
 }  // namespace hops

@@ -4,6 +4,13 @@
 // joint statistic for a column pair is available in the catalog, in which
 // case equality pairs use it — correlation-aware, Muralikrishna & DeWitt
 // style).
+//
+// Both overloads run one estimation body over the compiled kernels of
+// estimator/serving.h; they differ only in how a column's statistics are
+// found. The Catalog overload decodes and compiles each column per call
+// (CompileColumnStats); the snapshot overload resolves it to a dense id.
+// The frozen oracles these kernels are tested against are listed in
+// serving.h.
 
 #pragma once
 
@@ -26,9 +33,7 @@ Result<double> EstimatePredicateCardinality(const Catalog& catalog,
                                             const std::string& table,
                                             const Predicate& predicate);
 
-/// \brief As above, over a compiled snapshot (estimator/serving.h): same
-/// joint-statistics pairing and factor order, so the estimate is
-/// bit-identical to the Catalog overload on the same statistics, with zero
+/// \brief As above, over a compiled snapshot (estimator/serving.h), with zero
 /// histogram decodes per call.
 Result<double> EstimatePredicateCardinality(const CatalogSnapshot& snapshot,
                                             const std::string& table,

@@ -2,86 +2,38 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
+#include "engine/catalog_snapshot.h"
+#include "estimator/serving.h"
 #include "histogram/tuning.h"
 #include "util/math.h"
 
 namespace hops {
 
+// The selection overloads are adapters onto the compiled kernels
+// (estimator/serving.cc): one implementation per estimate.
+
 double EstimateEqualitySelection(const ColumnStatistics& stats,
                                  const Value& value) {
-  return stats.histogram.LookupFrequency(CatalogKeyFor(value));
+  return EstimateEqualitySelection(CompileColumnStats(stats), value);
 }
 
 double EstimateNotEqualsSelection(const ColumnStatistics& stats,
                                   const Value& value) {
-  double eq = EstimateEqualitySelection(stats, value);
-  return std::max(0.0, stats.num_tuples - eq);
-}
-
-size_t UniqueCatalogKeysFirstOccurrence(std::span<const Value> values,
-                                        int64_t* out) {
-  // Sort-unique over (key, position) pairs: sort once, keep the smallest
-  // position of every key run, then restore first-occurrence order by
-  // sorting the survivors on position. Two sorts of a small span beat a
-  // heap-allocating hash set on every optimizer probe; spans up to kInline
-  // never touch the heap.
-  constexpr size_t kInline = 64;
-  using KeyAt = std::pair<int64_t, uint32_t>;
-  KeyAt inline_buffer[kInline];
-  std::vector<KeyAt> heap_buffer;
-  KeyAt* keyed = inline_buffer;
-  if (values.size() > kInline) {
-    heap_buffer.resize(values.size());
-    keyed = heap_buffer.data();
-  }
-  for (size_t i = 0; i < values.size(); ++i) {
-    keyed[i] = {CatalogKeyFor(values[i]), static_cast<uint32_t>(i)};
-  }
-  std::sort(keyed, keyed + values.size());
-  // Equal keys sort by ascending position, so the first element of every
-  // run is the key's first occurrence.
-  size_t unique = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
-      keyed[unique++] = keyed[i];
-    }
-  }
-  std::sort(keyed, keyed + unique,
-            [](const KeyAt& a, const KeyAt& b) { return a.second < b.second; });
-  for (size_t i = 0; i < unique; ++i) out[i] = keyed[i].first;
-  return unique;
+  return EstimateNotEqualsSelection(CompileColumnStats(stats), value);
 }
 
 double EstimateDisjunctiveSelection(const ColumnStatistics& stats,
                                     std::span<const Value> values) {
-  constexpr size_t kInline = 64;
-  int64_t inline_keys[kInline];
-  std::vector<int64_t> heap_keys;
-  int64_t* keys = inline_keys;
-  if (values.size() > kInline) {
-    heap_keys.resize(values.size());
-    keys = heap_keys.data();
-  }
-  const size_t unique = UniqueCatalogKeysFirstOccurrence(values, keys);
-  KahanSum total;
-  for (size_t i = 0; i < unique; ++i) {
-    total.Add(stats.histogram.LookupFrequency(keys[i]));
-  }
-  return total.Value();
+  return EstimateDisjunctiveSelection(CompileColumnStats(stats), values);
+}
+
+Result<double> EstimateRangeSelection(const ColumnStatistics& stats,
+                                      const RangeBounds& bounds) {
+  return EstimateRangeSelection(CompileColumnStats(stats), bounds);
 }
 
 namespace internal {
-
-double FinishRangeEstimate(double num_tuples, int64_t min_value,
-                           int64_t max_value, double default_frequency,
-                           uint64_t num_default_values, int64_t lo, int64_t hi,
-                           int64_t explicit_in_range, KahanSum total) {
-  return FinishRangeEstimate(num_tuples, min_value, max_value,
-                             default_frequency, num_default_values, lo, hi,
-                             explicit_in_range, total, nullptr);
-}
 
 double FinishRangeEstimate(double num_tuples, int64_t min_value,
                            int64_t max_value, double default_frequency,
@@ -122,40 +74,10 @@ double FinishRangeEstimate(double num_tuples, int64_t min_value,
 
 }  // namespace internal
 
-Result<double> EstimateRangeSelection(const ColumnStatistics& stats,
-                                      const RangeBounds& bounds) {
-  // Normalize to a closed interval [lo, hi].
-  int64_t lo = bounds.low + (bounds.include_low ? 0 : 1);
-  int64_t hi = bounds.high - (bounds.include_high ? 0 : 1);
-  if (lo > hi) return 0.0;
-
-  // The explicit entries are sorted by value: two binary searches bound the
-  // in-range span, and only its entries are summed (same ascending order and
-  // accumulator as the linear reference -> bit-identical).
-  const auto& entries = stats.histogram.explicit_entries();
-  auto begin = std::lower_bound(
-      entries.begin(), entries.end(), lo,
-      [](const auto& entry, int64_t v) { return entry.first < v; });
-  auto end = std::upper_bound(
-      entries.begin(), entries.end(), hi,
-      [](int64_t v, const auto& entry) { return v < entry.first; });
-  KahanSum total;
-  int64_t explicit_in_range = 0;
-  for (auto it = begin; it != end; ++it) {
-    total.Add(it->second);
-    ++explicit_in_range;
-  }
-  return internal::FinishRangeEstimate(
-      stats.num_tuples, stats.min_value, stats.max_value,
-      stats.histogram.default_frequency(),
-      stats.histogram.num_default_values(), lo, hi, explicit_in_range, total,
-      stats.histogram.refinement().get());
-}
-
 Result<double> EstimateRangeSelectionLinear(const ColumnStatistics& stats,
                                             const RangeBounds& bounds) {
   // Frozen reference: the original full scan. Kept bit-for-bit as the
-  // determinism oracle for the O(log n) paths; do not optimize.
+  // determinism oracle for the compiled kernel; do not optimize.
   int64_t lo = bounds.low + (bounds.include_low ? 0 : 1);
   int64_t hi = bounds.high - (bounds.include_high ? 0 : 1);
   if (lo > hi) return 0.0;

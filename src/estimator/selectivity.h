@@ -4,6 +4,20 @@
 // (Sections 2.2 and 6): equality selection, disjunctive equality selection,
 // not-equals (complement), range selection (a disjunctive selection over the
 // values in the range), and two-relation equality join.
+//
+// Each estimate has one implementation: the compiled kernel of the same name
+// in estimator/serving.h. The ColumnStatistics selection overloads below are
+// adapters that reach it through stats.histogram.compiled(), which is built
+// on first use and cached — so, like CatalogHistogram itself, they are
+// thread-compatible on one ColumnStatistics, not thread-safe.
+//
+// The frozen oracles the kernels are tested against live here too and share
+// no lookup or merge code with them:
+//   - EstimateRangeSelectionLinear: the original linear range scan;
+//   - EstimateEquiJoinSize(const ColumnStatistics&, ...): the sorted merge
+//     over the decoded (value, frequency) pairs;
+//   - for point probes, CatalogHistogram::LookupFrequency
+//     (histogram/serialization.h).
 
 #pragma once
 
@@ -26,19 +40,8 @@ double EstimateNotEqualsSelection(const ColumnStatistics& stats,
 
 /// \brief Estimated size of the disjunctive selection
 /// (col = v1 or col = v2 or ...). Duplicate values are counted once.
-/// Deduplication is a stack-friendly sort-unique over the key span (no
-/// per-call hash-set allocation); frequencies are summed in first-occurrence
-/// order, matching the historical hash-set implementation bit-for-bit.
 double EstimateDisjunctiveSelection(const ColumnStatistics& stats,
                                     std::span<const Value> values);
-
-/// \brief Writes the catalog keys of \p values into \p out (capacity must be
-/// >= values.size()), deduplicated, in first-occurrence order; returns the
-/// unique count. Shared by the legacy and the compiled serving paths so both
-/// sum the same keys in the same association. Allocation-free for spans of
-/// up to 64 values.
-size_t UniqueCatalogKeysFirstOccurrence(std::span<const Value> values,
-                                        int64_t* out);
 
 /// \brief Inclusive/exclusive bounds for range estimation.
 struct RangeBounds {
@@ -53,44 +56,31 @@ struct RangeBounds {
 /// the implicit default bucket contributes its average frequency times the
 /// estimated number of default values in the range (default values assumed
 /// uniformly spread over [min_value, max_value]).
-///
-/// The explicit entries are sorted, so the in-range span is located with two
-/// binary searches and only its k entries are summed — O(log n + k), not the
-/// historical O(n) scan. Bit-identical to EstimateRangeSelectionLinear (the
-/// property tests in tests/estimator/ enforce this). The snapshot serving
-/// path (estimator/serving.h) goes further: with compiled prefix sums the
-/// explicit mass is O(log n) outright.
 Result<double> EstimateRangeSelection(const ColumnStatistics& stats,
                                       const RangeBounds& bounds);
 
 /// \brief Frozen reference implementation of range estimation: the original
 /// linear scan over every explicit entry. Kept verbatim as the determinism
-/// oracle — the O(log n) paths above and the compiled serving path must
-/// reproduce its results bit-for-bit. Do not "optimize" this function.
+/// oracle — the compiled kernel must reproduce its results bit-for-bit. Do
+/// not "optimize" this function.
 Result<double> EstimateRangeSelectionLinear(const ColumnStatistics& stats,
                                             const RangeBounds& bounds);
 
 namespace internal {
 
 /// \brief Shared tail of range estimation: the default-bucket contribution
-/// (average frequency x estimated default values in range, uniform-spread
-/// assumption) plus the relation-size clamp, applied to the accumulator
-/// already holding the explicit in-range mass. Every range path — linear
-/// reference, binary-search, compiled serving — funnels through this one
-/// function so the floating-point association is pinned in exactly one
-/// place.
+/// (average frequency x estimated default values in range) plus the
+/// relation-size clamp, applied to the accumulator already holding the
+/// explicit in-range mass. The linear oracle and the compiled kernel both
+/// funnel through this one function so the floating-point association is
+/// pinned in exactly one place.
 ///
-/// The second overload consults a self-tuning refinement tree
-/// (histogram/tuning.h) for the default values' in-range share instead of
-/// the uniform-spread assumption. A null (or still-uniform) tree computes
-/// the exact same arithmetic as the first overload, bit for bit — that is
-/// the tuning-off determinism contract. Pass the histogram's own tree so
-/// the legacy, binary-search, and compiled paths keep agreeing on tuned
+/// A non-null, non-uniform self-tuning refinement tree (histogram/tuning.h)
+/// supplies the default values' in-range share instead of the uniform-spread
+/// assumption; a null or still-uniform tree computes the historical
+/// arithmetic bit for bit — the tuning-off determinism contract. Pass the
+/// histogram's own tree so the oracle and the kernel agree on tuned
 /// histograms too.
-double FinishRangeEstimate(double num_tuples, int64_t min_value,
-                           int64_t max_value, double default_frequency,
-                           uint64_t num_default_values, int64_t lo, int64_t hi,
-                           int64_t explicit_in_range, KahanSum total);
 double FinishRangeEstimate(double num_tuples, int64_t min_value,
                            int64_t max_value, double default_frequency,
                            uint64_t num_default_values, int64_t lo, int64_t hi,
@@ -100,7 +90,9 @@ double FinishRangeEstimate(double num_tuples, int64_t min_value,
 }  // namespace internal
 
 /// \brief Estimated |R ⋈ S| on one attribute, from both sides' compact
-/// histograms. Assumes the two attributes share a value domain (the paper's
+/// histograms — the frozen merge oracle over the decoded (value, frequency)
+/// pairs; the compiled kernel in estimator/serving.h must match it bit for
+/// bit. Assumes the two attributes share a value domain (the paper's
 /// model): explicit-explicit pairs match exactly; values explicit on only
 /// one side meet the other side's default frequency; the remaining
 /// default-default mass pairs the leftover value counts.

@@ -23,10 +23,42 @@ double EstimateNotEqualsSelection(const CompiledColumnStats& stats,
   return std::max(0.0, stats.num_tuples - eq);
 }
 
+size_t UniqueCatalogKeysFirstOccurrence(std::span<const Value> values,
+                                        int64_t* out) {
+  // Sort-unique over (key, position) pairs: sort once, keep the smallest
+  // position of every key run, then restore first-occurrence order by
+  // sorting the survivors on position. Two sorts of a small span beat a
+  // heap-allocating hash set on every optimizer probe; spans up to kInline
+  // never touch the heap.
+  constexpr size_t kInline = 64;
+  using KeyAt = std::pair<int64_t, uint32_t>;
+  KeyAt inline_buffer[kInline];
+  std::vector<KeyAt> heap_buffer;
+  KeyAt* keyed = inline_buffer;
+  if (values.size() > kInline) {
+    heap_buffer.resize(values.size());
+    keyed = heap_buffer.data();
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    keyed[i] = {CatalogKeyFor(values[i]), static_cast<uint32_t>(i)};
+  }
+  std::sort(keyed, keyed + values.size());
+  // Equal keys sort by ascending position, so the first element of every
+  // run is the key's first occurrence.
+  size_t unique = 0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
+      keyed[unique++] = keyed[i];
+    }
+  }
+  std::sort(keyed, keyed + unique,
+            [](const KeyAt& a, const KeyAt& b) { return a.second < b.second; });
+  for (size_t i = 0; i < unique; ++i) out[i] = keyed[i].first;
+  return unique;
+}
+
 double EstimateDisjunctiveSelection(const CompiledColumnStats& stats,
                                     std::span<const Value> values) {
-  // Same dedupe + summation association as the Catalog path
-  // (estimator/selectivity.cc) so both produce identical bits.
   constexpr size_t kInline = 64;
   int64_t inline_keys[kInline];
   std::vector<int64_t> heap_keys;
@@ -45,7 +77,7 @@ double EstimateDisjunctiveSelection(const CompiledColumnStats& stats,
 
 Result<double> EstimateRangeSelection(const CompiledColumnStats& stats,
                                       const RangeBounds& bounds) {
-  // Normalize to a closed interval [lo, hi] — same as the Catalog path.
+  // Normalize to a closed interval [lo, hi].
   int64_t lo = bounds.low + (bounds.include_low ? 0 : 1);
   int64_t hi = bounds.high - (bounds.include_high ? 0 : 1);
   if (lo > hi) return 0.0;
@@ -57,7 +89,7 @@ Result<double> EstimateRangeSelection(const CompiledColumnStats& stats,
     // Exact-integer regime: the prefix difference is the same bits as a
     // fresh Kahan scan of the subrange, and adding it to a fresh KahanSum
     // leaves the accumulator in the same (sum, compensation) state the
-    // legacy scan reaches. O(log n) total.
+    // linear oracle's scan reaches. O(log n) total.
     if (end > begin) total.Add(h.ExplicitMass(begin, end));
   } else {
     // Fallback: element-wise Kahan over just the in-range entries, same
@@ -77,7 +109,7 @@ double EstimateEquiJoinSize(const CompiledColumnStats& left,
   const CompiledHistogram& hr = *right.histogram;
   KahanSum total;
   // Merge the two sorted key streams — operation for operation the same as
-  // the CatalogHistogram version, over the denser struct-of-arrays layout.
+  // the ColumnStatistics oracle, over the denser struct-of-arrays layout.
   const std::span<const int64_t> kl = hl.keys();
   const std::span<const int64_t> kr = hr.keys();
   const std::span<const double> fl = hl.frequencies();

@@ -6,12 +6,13 @@
 // dense interned ids, and the whole snapshot is immutable — so estimates
 // are lock-free, allocation-light, and safe to fan across threads.
 //
-// Determinism contract: every function here is bit-identical to its
-// Catalog/ColumnStatistics counterpart in selectivity.h / join_estimator.h
-// on the same statistics. The serving layer changes the data layout and the
-// asymptotics (O(log n) range lookups via compiled prefix sums), never the
-// estimate. bench/bench_estimation.cc enforces this with a fingerprint
-// check against the frozen linear-scan reference.
+// The CompiledColumnStats kernels below are the one implementation of each
+// selection and join estimate. The Catalog/ColumnStatistics entry points
+// (selectivity.h, join_estimator.h, predicate_estimator.h) are adapters onto
+// them. Tests and bench/bench_estimation.cc check the kernels bit for bit
+// against frozen oracles that share none of their lookup or merge code:
+// EstimateRangeSelectionLinear, CatalogHistogram::LookupFrequency and the
+// ColumnStatistics EstimateEquiJoinSize merge.
 
 #pragma once
 
@@ -40,9 +41,18 @@ double EstimateNotEqualsSelection(const CompiledColumnStats& stats,
                                   const Value& value);
 
 /// \brief Estimated disjunctive selection (col IN (...)); duplicates are
-/// counted once (stack-friendly sort-unique, first-occurrence order).
+/// counted once. Deduplication is UniqueCatalogKeysFirstOccurrence below;
+/// frequencies are Kahan-summed in first-occurrence order, matching the
+/// historical hash-set implementation bit for bit.
 double EstimateDisjunctiveSelection(const CompiledColumnStats& stats,
                                     std::span<const Value> values);
+
+/// \brief Writes the catalog keys of \p values into \p out (capacity must be
+/// >= values.size()), deduplicated, in first-occurrence order; returns the
+/// unique count. A stack-friendly sort-unique (no per-call hash set),
+/// allocation-free for spans of up to 64 values.
+size_t UniqueCatalogKeysFirstOccurrence(std::span<const Value> values,
+                                        int64_t* out);
 
 /// \brief Estimated range selection: two binary searches bound the explicit
 /// span; its mass is a prefix-sum difference when the histogram's
@@ -51,9 +61,9 @@ double EstimateDisjunctiveSelection(const CompiledColumnStats& stats,
 Result<double> EstimateRangeSelection(const CompiledColumnStats& stats,
                                       const RangeBounds& bounds);
 
-/// \brief Estimated |R ⋈ S| from both sides' compiled histograms — the same
-/// sorted-merge as the CatalogHistogram version over the denser
-/// struct-of-arrays layout.
+/// \brief Estimated |R ⋈ S| from both sides' compiled histograms — the
+/// sorted merge of the ColumnStatistics oracle in selectivity.h, operation
+/// for operation, over the denser struct-of-arrays layout.
 double EstimateEquiJoinSize(const CompiledColumnStats& left,
                             const CompiledColumnStats& right);
 

@@ -59,24 +59,54 @@ EstimateService::EstimateService(EstimateServiceOptions options)
       registry_(options.registry != nullptr
                     ? options.registry
                     : &telemetry::MetricRegistry::Global()) {
-  metrics_ = MakeEndpoint("/metrics");
-  metrics_json_ = MakeEndpoint("/metrics.json");
-  healthz_ = MakeEndpoint("/healthz");
-  estimate_ = MakeEndpoint("/estimate");
-  feedback_ = MakeEndpoint("/feedback");
-  update_ = MakeEndpoint("/update");
-  tracez_ = MakeEndpoint("/debug/tracez");
-  logz_ = MakeEndpoint("/debug/logz");
-  columns_ = MakeEndpoint("/debug/columns");
-  snapshots_ = MakeEndpoint("/debug/snapshots");
-  wal_ = MakeEndpoint("/debug/wal");
-  other_ = MakeEndpoint("other");
+  // The routing table: one row per endpoint (path, method, handler).
+  using Request = const HttpRequest&;
+  endpoints_.push_back(MakeEndpoint("/metrics", "GET", [this](Request) {
+    return HandleMetrics();
+  }));
+  endpoints_.push_back(MakeEndpoint("/metrics.json", "GET", [this](Request) {
+    return HandleMetricsJson();
+  }));
+  endpoints_.push_back(MakeEndpoint("/healthz", "GET", [this](Request) {
+    return HandleHealthz();
+  }));
+  endpoints_.push_back(MakeEndpoint("/estimate", "POST", [this](Request r) {
+    return HandleEstimate(r);
+  }));
+  endpoints_.back().detail_body_bytes = true;
+  endpoints_.push_back(MakeEndpoint("/feedback", "POST", [this](Request r) {
+    return HandleFeedback(r);
+  }));
+  endpoints_.push_back(MakeEndpoint("/update", "POST", [this](Request r) {
+    return HandleUpdate(r);
+  }));
+  endpoints_.push_back(MakeEndpoint("/debug/tracez", "GET", [this](Request) {
+    return HandleTracez(options_.recorder != nullptr
+                            ? options_.recorder
+                            : telemetry::TraceRecorder::Current());
+  }));
+  endpoints_.push_back(MakeEndpoint("/debug/logz", "GET", [this](Request) {
+    return HandleLogz();
+  }));
+  endpoints_.push_back(MakeEndpoint("/debug/columns", "GET", [this](Request) {
+    return HandleColumns();
+  }));
+  endpoints_.push_back(MakeEndpoint("/debug/snapshots", "GET", [this](Request) {
+    return HandleSnapshots();
+  }));
+  endpoints_.push_back(MakeEndpoint("/debug/wal", "GET", [this](Request) {
+    return HandleWal();
+  }));
+  other_ = MakeEndpoint("other", "", nullptr);
 }
 
 EstimateService::Endpoint EstimateService::MakeEndpoint(
-    const std::string& path) {
+    const std::string& path, const std::string& method,
+    std::function<HttpResponse(const HttpRequest&)> handler) {
   Endpoint endpoint;
   endpoint.path = path;
+  endpoint.method = method;
+  endpoint.handler = std::move(handler);
   endpoint.latency = registry_->GetHistogram(
       "hops_http_request_seconds", "Request handling latency by endpoint",
       telemetry::LogBucketSpec::Latency(), {{"endpoint", path}});
@@ -176,76 +206,17 @@ HttpResponse EstimateService::Handle(const HttpRequest& request) {
 
 HttpResponse EstimateService::Route(const HttpRequest& request,
                                     Endpoint** endpoint) {
-  if (request.target == "/metrics") {
-    *endpoint = &metrics_;
-    telemetry::TraceSpan span(*metrics_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleMetrics();
-  }
-  if (request.target == "/metrics.json") {
-    *endpoint = &metrics_json_;
-    telemetry::TraceSpan span(*metrics_json_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleMetricsJson();
-  }
-  if (request.target == "/healthz") {
-    *endpoint = &healthz_;
-    telemetry::TraceSpan span(*healthz_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleHealthz();
-  }
-  if (request.target == "/debug/tracez") {
-    *endpoint = &tracez_;
-    telemetry::TraceSpan span(*tracez_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleTracez(options_.recorder != nullptr
-                            ? options_.recorder
-                            : telemetry::TraceRecorder::Current());
-  }
-  if (request.target == "/debug/logz") {
-    *endpoint = &logz_;
-    telemetry::TraceSpan span(*logz_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleLogz();
-  }
-  if (request.target == "/debug/columns") {
-    *endpoint = &columns_;
-    telemetry::TraceSpan span(*columns_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleColumns();
-  }
-  if (request.target == "/debug/snapshots") {
-    *endpoint = &snapshots_;
-    telemetry::TraceSpan span(*snapshots_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleSnapshots();
-  }
-  if (request.target == "/debug/wal") {
-    *endpoint = &wal_;
-    telemetry::TraceSpan span(*wal_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleWal();
-  }
-  if (request.target == "/estimate") {
-    *endpoint = &estimate_;
-    telemetry::TraceSpan span(*estimate_.span);
-    if (span.emitting()) {
+  for (Endpoint& candidate : endpoints_) {
+    if (request.target != candidate.path) continue;
+    *endpoint = &candidate;
+    telemetry::TraceSpan span(*candidate.span);
+    if (candidate.detail_body_bytes && span.emitting()) {
       span.SetDetail("bytes=" + std::to_string(request.body.size()));
     }
-    if (request.method != "POST") return MakeErrorResponse(405, "use POST");
-    return HandleEstimate(request);
-  }
-  if (request.target == "/feedback") {
-    *endpoint = &feedback_;
-    telemetry::TraceSpan span(*feedback_.span);
-    if (request.method != "POST") return MakeErrorResponse(405, "use POST");
-    return HandleFeedback(request);
-  }
-  if (request.target == "/update") {
-    *endpoint = &update_;
-    telemetry::TraceSpan span(*update_.span);
-    if (request.method != "POST") return MakeErrorResponse(405, "use POST");
-    return HandleUpdate(request);
+    if (request.method != candidate.method) {
+      return MakeErrorResponse(405, "use " + candidate.method);
+    }
+    return candidate.handler(request);
   }
   *endpoint = &other_;
   return MakeErrorResponse(404, "unknown endpoint: " + request.target);

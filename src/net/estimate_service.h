@@ -82,6 +82,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "engine/catalog_snapshot.h"
 #include "estimator/serving.h"
@@ -173,8 +174,15 @@ class EstimateService {
   }
 
  private:
+  /// One row of the routing table: the request target it serves, the one
+  /// method it accepts (anything else is a 405), its handler, and its
+  /// per-endpoint latency histogram and Net.Request span site.
   struct Endpoint {
     std::string path;
+    std::string method;
+    std::function<HttpResponse(const HttpRequest&)> handler;
+    /// Tag the span with the request body size ("bytes=N").
+    bool detail_body_bytes = false;
     telemetry::LatencyHistogram* latency = nullptr;
     telemetry::SpanSite* span = nullptr;
   };
@@ -197,24 +205,18 @@ class EstimateService {
   Result<EstimateSpec> ParseSpec(const JsonValue& value,
                                  const CatalogSnapshot& snapshot) const;
 
-  Endpoint MakeEndpoint(const std::string& path);
+  Endpoint MakeEndpoint(
+      const std::string& path, const std::string& method,
+      std::function<HttpResponse(const HttpRequest&)> handler);
   void CountRequest(const std::string& endpoint, int status);
 
   const EstimateServiceOptions options_;
   telemetry::MetricRegistry* registry_;  // resolved (never null)
 
-  Endpoint metrics_;
-  Endpoint metrics_json_;
-  Endpoint healthz_;
-  Endpoint estimate_;
-  Endpoint feedback_;
-  Endpoint update_;
-  Endpoint tracez_;
-  Endpoint logz_;
-  Endpoint columns_;
-  Endpoint snapshots_;
-  Endpoint wal_;
-  Endpoint other_;
+  // Filled once by the constructor and never resized, so Route can hand out
+  // stable Endpoint pointers.
+  std::vector<Endpoint> endpoints_;
+  Endpoint other_;  // unknown targets (404)
 };
 
 }  // namespace hops::net

@@ -7,21 +7,12 @@
 #include <string_view>
 
 #include "histogram/serialization.h"
+#include "telemetry/accuracy.h"
 #include "util/status.h"
 
 namespace hops {
 
 namespace {
-
-// q-error with the standard one-tuple clamp (telemetry/accuracy.h); the
-// boundary validation in ReportEstimateOutcome guarantees finite inputs,
-// but the tuner re-checks because observations can also be fed directly.
-double QErrorOf(double estimated, double actual) {
-  if (!std::isfinite(estimated) || !std::isfinite(actual)) return 1.0;
-  const double e = std::max(estimated, 1.0);
-  const double a = std::max(actual, 1.0);
-  return std::max(e / a, a / e);
-}
 
 bool EnvTruthy(const char* name) {
   const char* raw = std::getenv(name);
@@ -49,7 +40,8 @@ bool SelfTuner::Observe(SelfTuneColumnState* state,
       !std::isfinite(outcome.actual) || outcome.actual < 0) {
     return false;
   }
-  if (QErrorOf(outcome.estimated, outcome.actual) < options_.min_qerror) {
+  if (telemetry::QError(outcome.estimated, outcome.actual) <
+      options_.min_qerror) {
     return false;
   }
   if (state->pending.size() >= options_.max_pending) {

@@ -54,21 +54,25 @@ const AccuracyTracker::PerColumn* AccuracyTracker::FindOrCreate(
   return it->second.get();
 }
 
+void AccuracyTracker::Record(std::string_view table, std::string_view column,
+                             double estimated, double actual) {
+  if (!std::isfinite(estimated) || !std::isfinite(actual)) return;
+  const PerColumn* state = FindOrCreate(table, column);
+  const double e = std::max(estimated, 1.0);
+  const double a = std::max(actual, 1.0);
+  state->reports->Increment();
+  if (e < a) {
+    state->underestimates->Increment();
+  } else if (e > a) {
+    state->overestimates->Increment();
+  }
+  state->qerror->Record(QError(estimated, actual));
+}
+
 void AccuracyTracker::ReportEstimationError(std::string_view table,
                                             std::string_view column,
                                             double estimated, double actual) {
-  if (std::isfinite(estimated) && std::isfinite(actual)) {
-    const PerColumn* state = FindOrCreate(table, column);
-    const double e = std::max(estimated, 1.0);
-    const double a = std::max(actual, 1.0);
-    state->reports->Increment();
-    if (e < a) {
-      state->underestimates->Increment();
-    } else if (e > a) {
-      state->overestimates->Increment();
-    }
-    state->qerror->Record(std::max(e / a, a / e));
-  }
+  Record(table, column, estimated, actual);
   if (next_ != nullptr) {
     next_->ReportEstimationError(table, column, estimated, actual);
   }
@@ -77,18 +81,7 @@ void AccuracyTracker::ReportEstimationError(std::string_view table,
 void AccuracyTracker::ReportPredicateOutcome(std::string_view table,
                                              std::string_view column,
                                              const PredicateOutcome& outcome) {
-  if (std::isfinite(outcome.estimated) && std::isfinite(outcome.actual)) {
-    const PerColumn* state = FindOrCreate(table, column);
-    const double e = std::max(outcome.estimated, 1.0);
-    const double a = std::max(outcome.actual, 1.0);
-    state->reports->Increment();
-    if (e < a) {
-      state->underestimates->Increment();
-    } else if (e > a) {
-      state->overestimates->Increment();
-    }
-    state->qerror->Record(std::max(e / a, a / e));
-  }
+  Record(table, column, outcome.estimated, outcome.actual);
   // Forward the predicate form, not the flattened one: the interval is what
   // a self-tuning sink downstream needs.
   if (next_ != nullptr) {

@@ -111,6 +111,10 @@ class AccuracyTracker : public EstimationFeedbackSink {
 
   const PerColumn* FindOrCreate(std::string_view table,
                                 std::string_view column);
+  /// The recording step both Report* overrides share; non-finite
+  /// magnitudes are ignored.
+  void Record(std::string_view table, std::string_view column,
+              double estimated, double actual);
   ColumnAccuracy Summarize(const std::string& table, const std::string& column,
                            const PerColumn& state) const;
 

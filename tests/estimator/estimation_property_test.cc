@@ -1,8 +1,9 @@
-// Property tests for the estimation fast paths: over randomized Zipf-ish
-// catalogs, the O(log n) range path (binary-searched Catalog form and
-// compiled prefix-sum serving form alike) must reproduce the frozen
-// linear-scan reference bit for bit, and the sort-unique disjunctive
-// deduplication must reproduce the historical hash-set implementation.
+// Property tests for the compiled estimation kernels: over randomized
+// Zipf-ish catalogs, the O(log n) prefix-sum range kernel (called directly
+// and through its ColumnStatistics adapter) must reproduce the frozen
+// linear-scan reference bit for bit, the sort-unique disjunctive
+// deduplication must reproduce the historical hash-set implementation, and
+// the point and join kernels must reproduce the decoded-histogram oracles.
 
 #include <gtest/gtest.h>
 
@@ -123,22 +124,17 @@ TEST(EstimationPropertyTest, RangePathsMatchLinearReferenceBitForBit) {
   Rng rng(0xbeef01);
   for (int trial = 0; trial < 300; ++trial) {
     ColumnStatistics stats = RandomStats(&rng);
-    CompiledColumnStats compiled;
-    compiled.num_tuples = stats.num_tuples;
-    compiled.num_distinct = stats.num_distinct;
-    compiled.min_value = stats.min_value;
-    compiled.max_value = stats.max_value;
-    compiled.histogram = stats.histogram.compiled_shared();
+    const CompiledColumnStats compiled = CompileColumnStats(stats);
     for (int q = 0; q < 40; ++q) {
       RangeBounds bounds = RandomBounds(&rng);
       auto reference = EstimateRangeSelectionLinear(stats, bounds);
-      auto binary = EstimateRangeSelection(stats, bounds);
+      auto adapter = EstimateRangeSelection(stats, bounds);
       auto serving = EstimateRangeSelection(compiled, bounds);
       ASSERT_TRUE(reference.ok());
-      ASSERT_TRUE(binary.ok());
+      ASSERT_TRUE(adapter.ok());
       ASSERT_TRUE(serving.ok());
       // Bitwise equality, not approximate: the serving layer's contract.
-      EXPECT_EQ(*reference, *binary)
+      EXPECT_EQ(*reference, *adapter)
           << "trial " << trial << " [" << bounds.low << "," << bounds.high
           << "] " << bounds.include_low << bounds.include_high;
       EXPECT_EQ(*reference, *serving)
@@ -152,9 +148,7 @@ TEST(EstimationPropertyTest, DisjunctiveMatchesHashSetReferenceBitForBit) {
   Rng rng(0xbeef02);
   for (int trial = 0; trial < 200; ++trial) {
     ColumnStatistics stats = RandomStats(&rng);
-    CompiledColumnStats compiled;
-    compiled.num_tuples = stats.num_tuples;
-    compiled.histogram = stats.histogram.compiled_shared();
+    const CompiledColumnStats compiled = CompileColumnStats(stats);
     // Spans above and below the 64-entry inline buffer.
     const size_t len = 1 + rng.NextBounded(trial % 5 == 0 ? 200 : 40);
     std::vector<Value> values;
@@ -175,16 +169,15 @@ TEST(EstimationPropertyTest, PointAndJoinServingMatchLegacyBitForBit) {
   for (int trial = 0; trial < 200; ++trial) {
     ColumnStatistics left = RandomStats(&rng);
     ColumnStatistics right = RandomStats(&rng);
-    CompiledColumnStats cl, cr;
-    cl.num_tuples = left.num_tuples;
-    cl.histogram = left.histogram.compiled_shared();
-    cr.num_tuples = right.num_tuples;
-    cr.histogram = right.histogram.compiled_shared();
+    const CompiledColumnStats cl = CompileColumnStats(left);
+    const CompiledColumnStats cr = CompileColumnStats(right);
     for (int q = 0; q < 20; ++q) {
       const Value probe(rng.NextInt(-120, 120));
-      EXPECT_EQ(EstimateEqualitySelection(left, probe),
-                EstimateEqualitySelection(cl, probe));
-      EXPECT_EQ(EstimateNotEqualsSelection(left, probe),
+      // Oracle: the decoded (value, frequency) pairs' own lookup.
+      const double oracle =
+          left.histogram.LookupFrequency(CatalogKeyFor(probe));
+      EXPECT_EQ(oracle, EstimateEqualitySelection(cl, probe));
+      EXPECT_EQ(std::max(0.0, left.num_tuples - oracle),
                 EstimateNotEqualsSelection(cl, probe));
     }
     EXPECT_EQ(EstimateEquiJoinSize(left, right), EstimateEquiJoinSize(cl, cr))

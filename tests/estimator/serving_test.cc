@@ -1,12 +1,15 @@
-// Serving-path estimators: every compiled function must be bit-identical to
-// its Catalog/ColumnStatistics counterpart, and EstimateOne/EstimateBatch
-// must validate ids and preserve spec order. EstimateBatch must reproduce a
-// serial EstimateOne loop bit for bit on both sides of its chunk boundary.
+// Serving-path estimators: every compiled kernel must be bit-identical to
+// the frozen oracles that share none of its code (the decoded
+// CatalogHistogram lookup, the linear range scan, the ColumnStatistics join
+// merge), and EstimateOne/EstimateBatch must validate ids and preserve spec
+// order. EstimateBatch must reproduce a serial EstimateOne loop bit for bit
+// on both sides of its chunk boundary.
 
 #include "estimator/serving.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -19,6 +22,7 @@
 #include "estimator/join_estimator.h"
 #include "estimator/predicate_estimator.h"
 #include "estimator/selectivity.h"
+#include "util/math.h"
 #include "util/random.h"
 
 namespace hops {
@@ -62,15 +66,25 @@ struct Fixture {
   }
 };
 
+// The point-probe oracle: the decoded (value, frequency) pairs'
+// CatalogHistogram::LookupFrequency, which the compiled kernels never call.
+double LookupOracle(const ColumnStatistics& stats, const Value& value) {
+  return stats.histogram.LookupFrequency(CatalogKeyFor(value));
+}
+
 TEST(ServingTest, EqualityMatchesLegacyBitForBit) {
   Fixture f;
   for (int64_t v = -3; v <= 25; ++v) {
     const Value probe(v);
     EXPECT_EQ(EstimateEqualitySelection(f.snapshot->stats(f.r_a_id), probe),
-              EstimateEqualitySelection(f.r_a, probe))
+              LookupOracle(f.r_a, probe))
         << v;
     EXPECT_EQ(EstimateNotEqualsSelection(f.snapshot->stats(f.r_b_id), probe),
-              EstimateNotEqualsSelection(f.r_b, probe))
+              std::max(0.0, f.r_b.num_tuples - LookupOracle(f.r_b, probe)))
+        << v;
+    // The ColumnStatistics adapters reach the same kernels.
+    EXPECT_EQ(EstimateEqualitySelection(f.r_a, probe),
+              LookupOracle(f.r_a, probe))
         << v;
   }
 }
@@ -80,10 +94,18 @@ TEST(ServingTest, DisjunctiveMatchesLegacyBitForBit) {
   std::vector<Value> values = {Value(int64_t{2}), Value(int64_t{9}),
                                Value(int64_t{2}), Value(int64_t{1}),
                                Value(int64_t{9}), Value(int64_t{-4})};
-  EXPECT_EQ(EstimateDisjunctiveSelection(f.snapshot->stats(f.r_a_id), values),
-            EstimateDisjunctiveSelection(f.r_a, values));
-  EXPECT_EQ(EstimateDisjunctiveSelection(f.snapshot->stats(f.r_b_id), values),
-            EstimateDisjunctiveSelection(f.r_b, values));
+  // Oracle: each distinct key once, Kahan-summed in first-occurrence order
+  // (2, 9, 1, -4).
+  for (auto [stats, id] :
+       {std::pair{&f.r_a, f.r_a_id}, std::pair{&f.r_b, f.r_b_id}}) {
+    KahanSum oracle;
+    for (int64_t key : {2, 9, 1, -4}) {
+      oracle.Add(LookupOracle(*stats, Value(key)));
+    }
+    EXPECT_EQ(EstimateDisjunctiveSelection(f.snapshot->stats(id), values),
+              oracle.Value());
+    EXPECT_EQ(EstimateDisjunctiveSelection(*stats, values), oracle.Value());
+  }
 }
 
 TEST(ServingTest, RangeMatchesLegacyBitForBit) {
@@ -97,9 +119,13 @@ TEST(ServingTest, RangeMatchesLegacyBitForBit) {
           auto legacy = EstimateRangeSelectionLinear(*stats, bounds);
           auto serving =
               EstimateRangeSelection(f.snapshot->stats(id), bounds);
+          auto adapter = EstimateRangeSelection(*stats, bounds);
           ASSERT_EQ(legacy.ok(), serving.ok());
+          ASSERT_EQ(legacy.ok(), adapter.ok());
           if (legacy.ok()) {
             EXPECT_EQ(*legacy, *serving)
+                << "[" << lo << "," << hi << "] mask " << mask;
+            EXPECT_EQ(*legacy, *adapter)
                 << "[" << lo << "," << hi << "] mask " << mask;
           }
         }
